@@ -20,7 +20,8 @@ from .constructions import (
     sparse_interval_union,
     sqrt2_minus_one,
 )
-from .epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
+from .epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, set_window_cap,
+                    window_cap)
 from .linops import (
     CoefficientExpansion,
     LinearOp,
@@ -47,14 +48,14 @@ from .stability import (
     StabilizationReport,
     full_periodicity_onset,
     iterate_trace,
-    t_stability_count,
     verify_stabilization,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPSet", "WindowCapExceeded", "set_window_cap", "window_cap",
+    "EPSet", "ResourceLimitExceeded", "WindowCapExceeded", "set_window_cap",
+    "window_cap",
     "LinearOp", "OpSequence", "CoefficientExpansion",
     "apply_linear_op", "apply_composition", "compose_coefficients",
     "dominant_coefficient_pair",
@@ -69,5 +70,5 @@ __all__ = [
     "bohr_truncation", "sparse_interval_union", "parity_flip_sequence",
     "sqrt2_minus_one",
     "IterationTrace", "StabilizationReport", "iterate_trace",
-    "t_stability_count", "full_periodicity_onset", "verify_stabilization",
+    "full_periodicity_onset", "verify_stabilization",
 ]

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .epset import EPSet
+from ._bits import _fold_mod, _periodic_fill, _rotate
+from .epset import EPSet, ResourceLimitExceeded
 from .linops import LinearOp, apply_linear_op
 
 
@@ -138,16 +139,10 @@ def kneser_dichotomy(x: EPSet, k: int) -> DichotomyReport:
     # the closure keeps, above min(X), every residue mod g that X meets
     g = xk.period
     m = math.lcm(g, x.period)
-    closure_res = set()
-    for i in range(x.hi - x.lo + 1):
-        if (x.window >> i) & 1:
-            closure_res.add((x.lo + i) % g)
-    for t in range(m):
-        if (x.pos_tail >> (t % x.period)) & 1:
-            closure_res.add(t % g)
+    closure_res = (_rotate(_fold_mod(x.window, g), x.lo, g)
+                   | _fold_mod(_periodic_fill(x.pos_tail, x.period, 0, m), g))
     start = x.min_element()
-    closure = EPSet(g, start, start - 1, 0, 0,
-                    sum(1 << r for r in closure_res))
+    closure = EPSet(g, start, start - 1, 0, 0, closure_res)
     contains = x.subset_of(closure)
     semi = closure.translate(g).subset_of(closure)
     ck = iterated_sumset(closure, k)
@@ -180,7 +175,7 @@ def stability_time(a: EPSet, max_k: int = 128):
             return k, its
         its.append(nxt)
         cur = nxt
-    raise RuntimeError("no fixed point within %d positive-difference steps" % max_k)
+    raise ResourceLimitExceeded("no fixed point within %d positive-difference steps" % max_k)
 
 
 def stability_time_bounds(density: Fraction):

@@ -20,9 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import constructions
-from .analysis import dplus, stability_time, stability_time_bounds
+from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import EPSet, WindowCapExceeded
+from .epset import EPSet, ResourceLimitExceeded
 from .linops import OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -318,10 +318,6 @@ def _emit(report, rows, header, fmt):
     return render_text(report)
 
 
-def _set_expr(s) -> str:
-    return s.to_expr()
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -334,16 +330,16 @@ def cmd_iterate(args) -> tuple[str, int]:
     report = {
         "schema": SCHEMA,
         "command": "iterate",
-        "set": _set_expr(s),
+        "set": s.to_expr(),
         "ops": str(seq),
         "distinct_count": tr.distinct_count,
         "cycle": list(tr.cycle) if tr.cycle else None,
         "periodicity_onset": list(tr.periodicity_onset) if tr.periodicity_onset else None,
         "closed": tr.closed,
         "resource_flag": tr.resource_flag,
-        "iterates": [{"k": k, "set": _set_expr(x)} for k, x in enumerate(tr.iterates)],
+        "iterates": [{"k": k, "set": x.to_expr()} for k, x in enumerate(tr.iterates)],
     }
-    rows = [(k, _set_expr(x), x.full_period()) for k, x in enumerate(tr.iterates)]
+    rows = [(k, x.to_expr(), x.full_period()) for k, x in enumerate(tr.iterates)]
     out = _emit(report, rows, ("k", "set", "full_period"), args.format)
     return out, (2 if tr.resource_flag else 0)
 
@@ -421,13 +417,13 @@ def cmd_dplus(args) -> tuple[str, int]:
     report = {
         "schema": SCHEMA,
         "command": "dplus",
-        "set": _set_expr(s),
+        "set": s.to_expr(),
         "density": str(dens),
         "stability_time": t,
         "bounds": bounds,
-        "iterates": [{"k": k, "set": _set_expr(x)} for k, x in enumerate(its)],
+        "iterates": [{"k": k, "set": x.to_expr()} for k, x in enumerate(its)],
     }
-    rows = [(k, _set_expr(x)) for k, x in enumerate(its)]
+    rows = [(k, x.to_expr()) for k, x in enumerate(its)]
     return _emit(report, rows, ("k", "set"), args.format), 0
 
 
@@ -440,7 +436,7 @@ def cmd_verify(args) -> tuple[str, int]:
                                max_steps=args.max_steps)
     d = rep.to_json_dict()
     d["command"] = "verify-thm61"
-    d["set"] = _set_expr(s)
+    d["set"] = s.to_expr()
     d["ops"] = str(seq)
     rows = [(k, d[k]) for k in sorted(d)]
     code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[rep.verdict]
@@ -465,11 +461,8 @@ def cmd_construct(args) -> tuple[str, int]:
         return _emit(report, rows, ("k", "set"), args.format), 0
     if kind == "bohr":
         t = constructions.bohr_truncation(Fraction(args.alpha), Fraction(args.delta), args.N)
-        points = sorted({max(1, args.N * i // 10) for i in range(1, 11)})
-        profile = []
-        for n in points:
-            cnt = sum(1 for x in t.elems if 1 <= x <= n)
-            profile.append((n, cnt, Fraction(cnt, n)))
+        points = {max(1, args.N * i // 10) for i in range(1, 11)}
+        profile = [(n, int(d * n), d) for n, d in density_profile(t.elems, points).profile]
         report = {
             "schema": SCHEMA, "command": "construct", "kind": "bohr",
             "alpha": args.alpha, "delta": args.delta, "n": args.N,
@@ -667,7 +660,7 @@ def run(argv) -> int:
     except (SetSyntaxError, SetSemanticError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 3
-    except WindowCapExceeded as e:
+    except ResourceLimitExceeded as e:
         sys.stderr.write("resource limit: %s\n" % e)
         return 2
     if args.out:

@@ -16,12 +16,20 @@ import math
 import os
 from fractions import Fraction
 
+from ._bits import (_bits, _circular_max_gap, _class_sum, _fold_mod, _min_period,
+                    _periodic_fill, _reflect, _reverse, _rotate, _spread)
+
 DEFAULT_WINDOW_CAP = 1 << 20
 
 _window_cap = int(os.environ.get("LINSET_WINDOW_CAP", DEFAULT_WINDOW_CAP))
 
 
-class WindowCapExceeded(Exception):
+class ResourceLimitExceeded(RuntimeError):
+    """A window, step or iteration budget ran out before the result was
+    found.  The CLI reports it, subclasses included, with exit code 2."""
+
+
+class WindowCapExceeded(ResourceLimitExceeded):
     """An operation needed a larger explicit window than the configured cap.
 
     Raised instead of degrading to an approximation; orbits of sets that
@@ -45,69 +53,6 @@ def set_window_cap(cap: int) -> None:
     if cap <= 0:
         raise ValueError("window cap must be positive")
     _window_cap = cap
-
-
-# ---------------------------------------------------------------------------
-# bitmask helpers (windows and residue sets are plain ints, bit i <-> value i)
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _rotate(mask: int, shift: int, width: int) -> int:
-    # bit r of the result equals bit (r - shift) mod width of the input
-    shift %= width
-    if shift == 0:
-        return mask
-    full = (1 << width) - 1
-    return ((mask << shift) | (mask >> (width - shift))) & full
-
-
-def _reflect(mask: int, width: int) -> int:
-    # bit r of the result equals bit (-r) mod width of the input
-    out = mask & 1
-    for r in _bits(mask >> 1):
-        out |= 1 << (width - 1 - r)
-    return out
-
-
-def _reverse(mask: int, width: int) -> int:
-    # plain bit reversal over a fixed width
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << (width - 1 - i)
-    return out
-
-
-def _periodic_fill(classes: int, m: int, start: int, length: int) -> int:
-    """Bits i in [0, length) set iff (start + i) mod m is a set residue."""
-    if length <= 0 or classes == 0:
-        return 0
-    block = _rotate(classes, (-start) % m, m)
-    filled = block
-    have = m
-    while have < length:
-        filled |= filled << have
-        have *= 2
-    return filled & ((1 << length) - 1)
-
-
-def _divisors(n: int) -> list:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
-# ---------------------------------------------------------------------------
 
 
 class EPSet:
@@ -145,14 +90,7 @@ class EPSet:
             raise ValueError("tail residues outside [0, period)")
 
         # minimal modulus representing both tails
-        d = period
-        for div in _divisors(period):
-            if div == period:
-                break
-            if (_rotate(neg_tail, div, period) == neg_tail
-                    and _rotate(pos_tail, div, period) == pos_tail):
-                d = div
-                break
+        d = _min_period(period, neg_tail, pos_tail)
         sub = (1 << d) - 1
         neg = neg_tail & sub
         pos = pos_tail & sub
@@ -373,20 +311,12 @@ class EPSet:
         width = self.hi - self.lo + 1
         if width > 0 and (width - 1) * n + 1 > _window_cap:
             raise WindowCapExceeded((width - 1) * n + 1, _window_cap)
-        new_window = 0
-        for i in _bits(self.window):
-            new_window |= 1 << (n * i)
-        new_neg = 0
-        for r in _bits(self.neg_tail):
-            new_neg |= 1 << (n * r)
-        new_pos = 0
-        for r in _bits(self.pos_tail):
-            new_pos |= 1 << (n * r)
         if width > 0:
             lo, hi = n * self.lo, n * self.hi
         else:
             lo, hi = n * self.lo, n * self.lo - 1
-        return EPSet(n * g, lo, hi, new_window, new_neg, new_pos)
+        return EPSet(n * g, lo, hi, _spread(self.window, n, n * width),
+                     _spread(self.neg_tail, n, n * g), _spread(self.pos_tail, n, n * g))
 
     def union(self, other: "EPSet") -> "EPSet":
         if self.is_empty():
@@ -527,15 +457,6 @@ class EPSet:
         return parts[0] if len(parts) == 1 else "U(%s)" % ",".join(parts)
 
 
-def _circular_max_gap(mask: int, g: int) -> int:
-    rs = list(_bits(mask))
-    if len(rs) == 1:
-        return g
-    gaps = [b - a for a, b in zip(rs, rs[1:])]
-    gaps.append(rs[0] + g - rs[-1])
-    return max(gaps)
-
-
 # ---------------------------------------------------------------------------
 # Minkowski sum pieces.
 #
@@ -561,22 +482,6 @@ def _sum_windows(w1, w2):
         if out == full:
             break
     return (lo1 + lo2, out)
-
-
-def _fold_mod(classes: int, m: int, d: int) -> int:
-    if d == m:
-        return classes
-    out = 0
-    for r in _bits(classes):
-        out |= 1 << (r % d)
-    return out
-
-
-def _class_sum(c1: int, c2: int, d: int) -> int:
-    out = 0
-    for y in _bits(c2):
-        out |= _rotate(c1, y, d)
-    return out
 
 
 def _sum_window_up(w, u):
@@ -629,7 +534,7 @@ def _sum_up_up(u1, u2):
         emask |= (t2 & (full >> j)) << j
         if emask == full:
             break
-    q = _class_sum(_fold_mod(c1, m1, d), _fold_mod(c2, m2, d), d)
+    q = _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d)
     return (d, q, expl_lo, sat_hi, emask)
 
 
@@ -660,7 +565,7 @@ def _sum_cross(u, dn):
     m1, c1, _h = u
     m2, c2, _l = dn
     d = math.gcd(m1, m2)
-    return (d, _class_sum(_fold_mod(c1, m1, d), _fold_mod(c2, m2, d), d))
+    return (d, _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d))
 
 
 def _combine_pieces(g, finites, ups, downs, fulls):

@@ -114,9 +114,6 @@ class CoefficientExpansion:
     def max_abs_coefficient(self) -> int:
         return max(abs(c) for c in self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
 
 def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     """Expand a composition into its signed coefficient multiset.

@@ -7,7 +7,8 @@ decomposition constructively and returns a verifiable certificate.
 
 Convention note: the decomposition places V in a1*G and X in b1*G with
 a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
-that convention before being returned.
+that convention before being returned.  A residue set is an int mask with
+bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epset import EPSet
+from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
+                    _rotate, _spread)
+from .epset import EPSet, ResourceLimitExceeded
 
 
 def totient(n: int) -> int:
@@ -49,49 +52,54 @@ def multiplicative_order(x: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """A subset of Z/gZ."""
+    """A subset of Z/gZ, stored as a mask with bit r set iff r is a member."""
 
     modulus: int
-    elems: frozenset
+    mask: int
 
     def __init__(self, modulus, elems):
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        elems = frozenset(x % modulus for x in elems)
+        mask = 0
+        for x in elems:
+            mask |= 1 << (x % modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "elems", elems)
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def elems(self) -> frozenset:
+        return frozenset(_bits(self.mask))
 
     def __len__(self):
-        return len(self.elems)
+        return self.mask.bit_count()
 
     def __contains__(self, x):
-        return x % self.modulus in self.elems
+        return bool((self.mask >> (x % self.modulus)) & 1)
 
     def __iter__(self):
-        return iter(sorted(self.elems))
-
-    def mask(self) -> int:
-        out = 0
-        for x in self.elems:
-            out |= 1 << x
-        return out
+        return _bits(self.mask)
 
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "ResidueSet":
-        return cls(modulus, [i for i in range(modulus) if (mask >> i) & 1])
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        u = object.__new__(cls)
+        object.__setattr__(u, "modulus", modulus)
+        object.__setattr__(u, "mask", mask & ((1 << modulus) - 1))
+        return u
 
     @classmethod
     def subgroup(cls, modulus: int, d: int) -> "ResidueSet":
         """The subgroup d*G = {0, d, 2d, ...}; d must divide the modulus."""
         if modulus % d:
             raise ValueError("%d does not divide %d" % (d, modulus))
-        return cls(modulus, range(0, modulus, d))
+        return cls.from_mask(modulus, _periodic_fill(1, d, 0, modulus))
 
     def translate(self, c: int) -> "ResidueSet":
-        return ResidueSet(self.modulus, [x + c for x in self.elems])
+        return ResidueSet.from_mask(self.modulus, _rotate(self.mask, c, self.modulus))
 
     def to_expr(self) -> str:
-        return "mod %d {%s}" % (self.modulus, ",".join(str(x) for x in self))
+        return "mod %d {%s}" % (self.modulus, ",".join(map(str, self)))
 
     def __str__(self):
         return self.to_expr()
@@ -100,23 +108,15 @@ class ResidueSet:
 def gamma_mod(u: ResidueSet, a: int, b: int) -> ResidueSet:
     """{a*x + b*y mod g : x, y in U}."""
     g = u.modulus
-    au = {a * x % g for x in u.elems}
-    out = set()
-    for y in u.elems:
-        c = b * y % g
-        out.update((x + c) % g for x in au)
-    return ResidueSet(g, out)
+    return ResidueSet.from_mask(g, _class_sum(_spread(u.mask, a, g),
+                                              _spread(u.mask, b, g), g))
 
 
 def period_shift(u: ResidueSet) -> int:
     """Smallest positive d (a divisor of g) with U + d = U."""
-    if not u.elems:
+    if not u.mask:
         raise ValueError("period of the empty residue set is undefined")
-    g = u.modulus
-    d = 1
-    while g % d or u.translate(d) != u:
-        d += 1
-    return d
+    return _min_period(u.modulus, u.mask)
 
 
 def period(u: ResidueSet) -> ResidueSet:
@@ -205,19 +205,19 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     """
     if math.gcd(a, b) != 1:
         return DecompositionFailure("coefficients not coprime")
-    if not u.elems:
+    if not u.mask:
         return DecompositionFailure("empty set")
     g = u.modulus
-    translation = min(u.elems)
+    translation = (u.mask & -u.mask).bit_length() - 1
     u0 = u.translate(-translation)
-    if math.gcd(g, math.gcd(*u0.elems)) != 1:
+    if math.gcd(g, *u0) != 1:
         return DecompositionFailure("contained in a proper subgroup")
     if len(gamma_mod(u, a, b)) != len(u):
         return DecompositionFailure("cardinality not preserved")
 
     step = period_shift(u0)       # H = step*G, |H| = g // step
     g1 = step                     # order of G / H
-    u1 = sorted({x % g1 for x in u0.elems})
+    u1 = _fold_mod(u0.mask, g1)
     a1 = math.gcd(g1, a)
     b1 = math.gcd(g1, b)
     if a1 * b1 != g1:
@@ -229,30 +229,24 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     if a_side != a1 or b_side != b1:
         return DecompositionFailure("quotient modulus does not split over a and b")
 
-    comps = {}
-    for x in u1:
-        comps.setdefault(x % b1, []).append(x)
-    sizes = {len(xs) for xs in comps.values()}
-    if len(sizes) != 1:
+    # components of U1 by residue mod b1, as masks mod g1
+    b1_group = _periodic_fill(1, b1, 0, g1)
+    comps = [c for c in (u1 & _rotate(b1_group, k, g1) for k in range(b1)) if c]
+    if len({c.bit_count() for c in comps}) != 1:
         return DecompositionFailure("components have unequal sizes")
     # the component of 0 is the base; every other component must be a
     # translate of it by one of its own elements (unique since the base
     # is aperiodic within its subgroup)
-    base = frozenset(comps[0])
+    base = comps[0]
     reps = []
-    for k in sorted(comps):
-        xs = comps[k]
-        delta = None
-        for cand in xs:
-            if frozenset((x - cand) % g1 for x in xs) == base:
-                delta = cand
-                break
+    for xs in comps:
+        delta = next((c for c in _bits(xs) if _rotate(xs, -c, g1) == base), None)
         if delta is None:
             return DecompositionFailure("components are not translates of each other")
         reps.append(delta)
 
     v = tuple(sorted(reps))
-    x_part = tuple(sorted(base))
+    x_part = tuple(_bits(base))
     if any(val % a1 for val in v):
         return DecompositionFailure("representatives escape the a-side subgroup")
     if any(val % b1 for val in x_part):
@@ -297,7 +291,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
             length = len(states) - onset
             break
         if max_steps is not None and steps >= max_steps:
-            raise RuntimeError("orbit did not close within max_steps")
+            raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
         seen[cur] = len(states)
         states.append(cur)
 
@@ -307,9 +301,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     divisibility = None
     g = u.modulus
     for s in cycle:
-        if not s.elems or 0 not in s.elems:
-            continue
-        if math.gcd(g, math.gcd(*s.elems)) != 1:
+        if not (s.mask & 1) or math.gcd(g, *s) != 1:
             continue
         if len(gamma_mod(s, a, b)) == len(s):
             divisibility = (totient(a) * totient(b)) % length == 0
@@ -330,15 +322,15 @@ def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionRep
     if math.gcd(a, b) != 1:
         raise ValueError("coefficients must be coprime")
     g = x.modulus
-    if 0 not in x.elems:
+    if not (x.mask & 1):
         return AbsorptionReport(False, "0 not a member", None, None)
     if period_shift(x) != g:
         return AbsorptionReport(False, "set is periodic", None, None)
-    ax = ResidueSet(g, [a * t % g for t in x.elems])
+    ax = ResidueSet.from_mask(g, _spread(x.mask, a, g))
     if gamma_mod(x, a, b) != ax:
         return AbsorptionReport(False, "aX + bX differs from aX", None, None)
     step = g // math.gcd(g, b)
-    holds = all(t % step == 0 for t in x.elems)
+    holds = all(t % step == 0 for t in x)
     return AbsorptionReport(True, None, step, holds)
 
 

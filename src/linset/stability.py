@@ -81,12 +81,6 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
     return trace
 
 
-def t_stability_count(trace: IterationTrace) -> int:
-    """Minimal t for which the traced family {X} with its iterates has at
-    most t members; a lower bound when the trace is not closed."""
-    return trace.distinct_count
-
-
 def full_periodicity_onset(trace: IterationTrace, g_max: int | None = None):
     """Smallest (k0, g): every recorded iterate from k0 on satisfies
     S + g == S, with g minimal (the lcm of the suffix periods); g is
@@ -192,8 +186,7 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
 
     trace = iterate_trace(a, seq, max_k=max_steps)
     its = trace.iterates
-    onset_data = full_periodicity_onset(trace)
-    observed_k0, observed_g = onset_data if onset_data else (None, None)
+    observed_k0, observed_g = trace.periodicity_onset or (None, None)
 
     if trace.resource_flag:
         return StabilizationReport(beta, K, L, c, g_bound, observed_k0,

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: grammar, dispatch, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,19 @@ def test_cli_resource_exit_code(capsys):
         set_window_cap(old)
 
 
+def test_cli_dplus_budget_exit_code(capsys):
+    assert run(["dplus", "--set", "AP+(1,7,1)", "--max-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "resource limit: no fixed point within 1 positive-difference steps\n"
+
+
+def test_cli_residue_budget_exit_code(capsys):
+    assert run(["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3",
+                "--max-steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "resource limit: orbit did not close within 1 steps\n"
+
+
 def test_cli_text_and_csv_formats(capsys):
     assert run(["iterate", "--set", "Z", "--ops", "(2,1)", "--format", "text"]) == 0
     text = capsys.readouterr().out
@@ -194,3 +208,23 @@ def test_cli_text_and_csv_formats(capsys):
     assert run(["iterate", "--set", "Z", "--ops", "(2,1)", "--format", "csv"]) == 0
     csv_out = capsys.readouterr().out
     assert csv_out.splitlines()[0] == "k,set,full_period"
+
+
+BOHR_ARGV = ["construct", "--kind", "bohr", "--alpha", "33461/80782",
+             "--delta", "1/6", "--N", "2000"]
+# golden report, recorded from the inline profile code that
+# analysis.density_profile replaced
+BOHR_SHA256 = "2450164ff532e67f5e61f590d685ebd907948432f2424e50e90dc55b12faa1f0"
+BOHR_PROFILE = [(200, 34, "17/100"), (400, 66, "33/200"), (600, 100, "1/6"),
+                (800, 133, "133/800"), (1000, 167, "167/1000"), (1200, 200, "1/6"),
+                (1400, 233, "233/1400"), (1600, 266, "133/800"),
+                (1800, 299, "299/1800"), (2000, 334, "167/1000")]
+
+
+def test_cli_construct_bohr_golden(capsys):
+    assert run(BOHR_ARGV) == 0
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert [(p["n"], p["count"], p["density"]) for p in rep["profile"]] == BOHR_PROFILE
+    assert (rep["count"], rep["density"]) == (334, "167/1000")
+    assert hashlib.sha256(out.encode()).hexdigest() == BOHR_SHA256

@@ -13,7 +13,6 @@ from linset.stability import (
     _floor_log2,
     full_periodicity_onset,
     iterate_trace,
-    t_stability_count,
     verify_stabilization,
 )
 
@@ -24,7 +23,6 @@ def test_trace_progression_orbit():
     assert tr.distinct_count == 3
     assert tr.cycle == (1, 2)
     assert tr.closed
-    assert t_stability_count(tr) == 3
 
 
 def test_trace_fixed_point():
