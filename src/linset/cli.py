@@ -15,6 +15,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -110,18 +111,33 @@ class _Scanner:
         return self.text[start:self.i]
 
 
+# a well-formed integer list body and its closing brace
+_INT_LIST = re.compile(r"\s*([+-]?\d+(?:\s*,\s*[+-]?\d+)*)?\s*\}")
+
+
+def _int_literal(sc: _Scanner) -> list:
+    """The integers of a ``{e1,e2,...}`` literal, braces included."""
+    sc.take("{")
+    m = _INT_LIST.match(sc.text, sc.i)
+    if m:
+        sc.i = m.end()
+        body = m.group(1)
+        return list(map(int, body.split(","))) if body else []
+    # malformed: rescan token by token for the positioned error
+    elems = []
+    if sc.peek() != "}":
+        elems.append(sc.integer())
+        while sc.peek() == ",":
+            sc.take(",")
+            elems.append(sc.integer())
+    sc.take("}")
+    return elems
+
+
 def _parse_set(sc: _Scanner):
     ch = sc.peek()
     if ch == "{":
-        sc.take("{")
-        elems = []
-        if sc.peek() != "}":
-            elems.append(sc.integer())
-            while sc.peek() == ",":
-                sc.take(",")
-                elems.append(sc.integer())
-        sc.take("}")
-        return EPSet.from_iterable(elems)
+        return EPSet.from_iterable(_int_literal(sc))
     if not ch:
         raise SetSyntaxError("expected a set expression", sc.i)
     if not ch.isalpha():
@@ -208,14 +224,7 @@ def parse_residue_set(text: str) -> ResidueSet:
     g = sc.integer()
     if g <= 0:
         raise SetSemanticError("modulus must be positive")
-    sc.take("{")
-    elems = []
-    if sc.peek() != "}":
-        elems.append(sc.integer())
-        while sc.peek() == ",":
-            sc.take(",")
-            elems.append(sc.integer())
-    sc.take("}")
+    elems = _int_literal(sc)
     if not sc.at_end():
         raise SetSyntaxError("trailing input", sc.i)
     return ResidueSet(g, elems)

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .epset import EPSet
+from ._bits import _bits, _from_offsets, convolve_or
+from .epset import EPSet, WindowCapExceeded, window_cap
 from .linops import LinearOp, OpSequence, apply_linear_op
 from .residue import multiplicative_order
 
@@ -49,14 +50,14 @@ def finite_gamma(elems, a: int, b: int):
     if not elems:
         return []
     lo, hi = elems[0], elems[-1]
-    amask = 0
-    for x in elems:
-        amask |= 1 << (a * (x - lo))
-    out = 0
-    for y in elems:
-        out |= amask << (b * (hi - y))
+    width = (a + b) * (hi - lo) + 1
+    if width > window_cap():
+        raise WindowCapExceeded(width, window_cap())
+    # bit a*(x - lo) for each x, convolved with bit b*(hi - y) for each y
+    amask = _from_offsets((a * (x - lo) for x in elems), a * (hi - lo) + 1)
+    bmask = _from_offsets((b * (hi - y) for y in elems), b * (hi - lo) + 1)
     base = a * lo - b * hi
-    return [base + i for i in range(out.bit_length()) if (out >> i) & 1]
+    return [base + i for i in _bits(convolve_or(amask, bmask))]
 
 
 def max_consecutive_gap(sorted_elems) -> int:
@@ -162,11 +163,12 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
             % (alpha.denominator, n))
     q = alpha.denominator
     p = alpha.numerator
-    half = delta / 2
+    # min(t, q - t) / q < delta / 2, with the denominators cleared
+    dn, dd = delta.numerator, delta.denominator
     elems = []
     for a in range(1, n + 1):
         t = (p * a) % q
-        if Fraction(min(t, q - t), q) < half:
+        if 2 * min(t, q - t) * dd < dn * q:
             elems.append(a)
     return TruncatedSet(tuple(elems), n, "bohr",
                         (("alpha", str(alpha)), ("delta", str(delta)), ("n", n)))

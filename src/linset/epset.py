@@ -16,8 +16,9 @@ import math
 import os
 from fractions import Fraction
 
-from ._bits import (_bits, _circular_max_gap, _class_sum, _fold_mod, _min_period,
-                    _periodic_fill, _reflect, _reverse, _rotate, _spread)
+from ._bits import (_bits, _circular_max_gap, _class_sum, _fold_mod, _from_offsets,
+                    _min_period, _periodic_fill, _reflect, _reverse, _rotate, _spread,
+                    convolve_or)
 
 DEFAULT_WINDOW_CAP = 1 << 20
 
@@ -155,14 +156,13 @@ class EPSet:
 
     @classmethod
     def from_iterable(cls, xs) -> "EPSet":
-        xs = sorted(set(xs))
+        xs = set(xs)
         if not xs:
             return cls.empty()
-        lo, hi = xs[0], xs[-1]
-        mask = 0
-        for x in xs:
-            mask |= 1 << (x - lo)
-        return cls(1, lo, hi, mask, 0, 0)
+        lo, hi = min(xs), max(xs)
+        if hi - lo + 1 > _window_cap:
+            raise WindowCapExceeded(hi - lo + 1, _window_cap)
+        return cls(1, lo, hi, _from_offsets((x - lo for x in xs), hi - lo + 1), 0, 0)
 
     @classmethod
     def residue_class(cls, r: int, g: int) -> "EPSet":
@@ -470,25 +470,18 @@ class EPSet:
 def _sum_windows(w1, w2):
     lo1, m1 = w1
     lo2, m2 = w2
-    if m1.bit_count() > m2.bit_count():
-        lo1, m1, lo2, m2 = lo2, m2, lo1, m1
     width = m1.bit_length() + m2.bit_length() - 1
     if width > _window_cap:
         raise WindowCapExceeded(width, _window_cap)
-    out = 0
-    full = (1 << width) - 1
-    for i in _bits(m1):
-        out |= m2 << i
-        if out == full:
-            break
-    return (lo1 + lo2, out)
+    return (lo1 + lo2, convolve_or(m1, m2))
 
 
 def _sum_window_up(w, u):
     """(window) + (upward tail) as an up piece (m, classes, expl_lo, sat_hi, bits)."""
     wlo, wmask = w
     m, classes, h = u
-    wmin = wlo + ((wmask & -wmask).bit_length() - 1)
+    low = (wmask & -wmask).bit_length() - 1
+    wmin = wlo + low
     wmax = wlo + wmask.bit_length() - 1
     expl_lo = h + 1 + wmin
     sat_hi = h + wmax
@@ -498,17 +491,8 @@ def _sum_window_up(w, u):
         if span > _window_cap:
             raise WindowCapExceeded(span, _window_cap)
         tail_bits = _periodic_fill(classes, m, h + 1, span)
-        full = (1 << span) - 1
-        for i in _bits(wmask):
-            v = wlo + i
-            keep = wmax - v
-            if keep > 0:
-                emask |= (tail_bits & ((1 << keep) - 1)) << (v - wmin)
-            if emask == full:
-                break
-    shifted = 0
-    for s in {(wlo + i) % m for i in _bits(wmask)}:
-        shifted |= _rotate(classes, s, m)
+        emask = convolve_or(wmask >> low, tail_bits, span)
+    shifted = _class_sum(classes, _rotate(_fold_mod(wmask, m), wlo, m), m)
     return (m, shifted, expl_lo, sat_hi, emask)
 
 
@@ -526,14 +510,7 @@ def _sum_up_up(u1, u2):
         raise WindowCapExceeded(span, _window_cap)
     t1 = _periodic_fill(c1, m1, h1 + 1, span)
     t2 = _periodic_fill(c2, m2, h2 + 1, span)
-    if t1.bit_count() > t2.bit_count():
-        t1, t2 = t2, t1
-    emask = 0
-    full = (1 << span) - 1
-    for j in _bits(t1):
-        emask |= (t2 & (full >> j)) << j
-        if emask == full:
-            break
+    emask = convolve_or(t1, t2, span)
     q = _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d)
     return (d, q, expl_lo, sat_hi, emask)
 

@@ -49,6 +49,22 @@ def test_parse_errors_are_positioned():
         parse_set_expression("{1,2} junk")
 
 
+# message and position of malformed literals, recorded before the
+# one-pass literal scan replaced the token-by-token one
+MALFORMED_LITERALS = [("{1,,2}", "expected an integer", 3),
+                      ("{1 2}", "expected '}'", 3),
+                      ("{1,2", "expected '}'", 4)]
+
+
+@pytest.mark.parametrize("text,message,pos", MALFORMED_LITERALS)
+def test_parse_malformed_literals_pinned(text, message, pos):
+    for prefix, parse in (("", parse_set_expression), ("mod 5 ", parse_residue_set)):
+        at = pos + len(prefix)
+        with pytest.raises(SetSyntaxError) as e:
+            parse(prefix + text)
+        assert (str(e.value), e.value.pos) == ("%s (at position %d)" % (message, at), at)
+
+
 def test_parse_constructions():
     t = parse_set_expression("sparse(1/2, 50, 1, 4, 27)")
     assert isinstance(t, TruncatedSet)
@@ -228,3 +244,21 @@ def test_cli_construct_bohr_golden(capsys):
     assert [(p["n"], p["count"], p["density"]) for p in rep["profile"]] == BOHR_PROFILE
     assert (rep["count"], rep["density"]) == (334, "167/1000")
     assert hashlib.sha256(out.encode()).hexdigest() == BOHR_SHA256
+
+
+# the dense-window stress set U({0,7,...,<2e5}, AP+(1,5,200001)); digests of
+# the JSON reports recorded with the shift-or kernels the FFT path replaced
+STRESS_SET = "U({%s},AP+(1,5,200001))" % ",".join(map(str, range(0, 200000, 7)))
+STRESS_SHA256 = {
+    "iterate": "be194bad8b9157f09d8185db3ebbccbaa51d49275f8e9f22b1bce865dcea8b0e",
+    "dplus": "0c77cd898bc848bdaf7a7b418ad4cd698e16386524e2ef019127868920e266e3",
+}
+
+
+@pytest.mark.parametrize("argv", [["iterate", "--set", STRESS_SET, "--ops", "(3,1)"],
+                                  ["dplus", "--set", STRESS_SET]],
+                         ids=["iterate", "dplus"])
+def test_cli_stress_case_golden(argv, capsys):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STRESS_SHA256[argv[0]]

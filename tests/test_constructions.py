@@ -16,7 +16,7 @@ from linset.constructions import (
     sparse_interval_union,
     sqrt2_minus_one,
 )
-from linset.epset import EPSet
+from linset.epset import EPSet, WindowCapExceeded, window_cap
 from linset.linops import LinearOp, apply_linear_op
 
 
@@ -131,6 +131,17 @@ def test_finite_gamma():
     got = finite_gamma([0, 1, 3], 3, 2)
     brute = sorted({3 * x - 2 * y for x in (0, 1, 3) for y in (0, 1, 3)})
     assert got == brute
+
+
+def test_finite_gamma_window_cap():
+    # (a + b) * (hi - lo) + 1 positions, refused before any mask is built
+    with pytest.raises(WindowCapExceeded) as e:
+        finite_gamma([0, 10**9], 3, 1)
+    assert e.value.requested == 4 * 10**9 + 1
+    span = (window_cap() - 1) // 4
+    assert finite_gamma([0, span], 3, 1)[:2] == [-span, 0]
+    with pytest.raises(WindowCapExceeded):
+        finite_gamma([0, span + 1], 3, 1)
 
 
 def test_parity_flip_examples():
