@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_SMALL_BITS = 256        # _bits walks masks up to this width bit by bit
+_SMALL_BITS = 256        # _bits walks masks up to this width bit by bit,
+_SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
 _SHIFT_OR_BITS = 64      # convolve_or shift-ors this many bits before the FFT
 _FFT_MIN_BITS = 400      # ... and leaves it at least this many (see _fft_cutoff)
 _BLOCK_BITS = 1 << 14    # FFT block: counts <= 2^14, transforms <= 2^15 points
@@ -35,7 +36,7 @@ _BLOCK_BITS = 1 << 14    # FFT block: counts <= 2^14, transforms <= 2^15 points
 
 def _bits(mask):
     """Set bit positions of mask, ascending (a generator)."""
-    if mask.bit_length() > _SMALL_BITS:
+    if mask.bit_length() > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS:
         yield from np.flatnonzero(_unpack(mask, mask.bit_length())).tolist()
         return
     while mask:
@@ -90,10 +91,11 @@ def _reflect(mask: int, width: int) -> int:
 
 
 def _spread(mask: int, n: int, m: int) -> int:
-    # bit i of the input becomes bit (n * i) mod m: a plain spread when m
-    # exceeds n times the top bit, else the residue dilation mod m
+    # bit i of the input becomes bit (n * i) mod m: a plain spread when
+    # n >= 1 and m exceeds n times the top bit, else the residue dilation
+    # mod m (any n, zero and negative ones included)
     top = mask.bit_length() - 1
-    if top >= _SMALL_BITS and n * top < m:
+    if top >= _SMALL_BITS and 0 < n and n * top < m:
         return int(("0" * (n - 1)).join(format(mask, "b")), 2)
     out = 0
     while mask:
@@ -175,10 +177,9 @@ def convolve_or(m1: int, m2: int, width=None) -> int:
 
     Exact; see the module docstring for the FFT path's error argument.
     """
-    k = m1.bit_count()
-    if k > m2.bit_count():
-        m1, m2 = m2, m1
-        k = m1.bit_count()
+    k, k2 = m1.bit_count(), m2.bit_count()
+    if k > k2:
+        m1, m2, k = m2, m1, k2
     if not k:
         return 0
     natural = m1.bit_length() + m2.bit_length() - 1

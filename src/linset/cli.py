@@ -53,6 +53,14 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # recursive-descent parsing
 
+# An integer; and the rest of a {e1,e2,...} literal after its "{": the
+# longest well-formed run of elements, a comma left dangling after it, and
+# the closing brace.  The one match gives the elements or the error position.
+_INT = r"[+-]?\d+"
+_INTEGER = re.compile(r"\s*(%s)" % _INT)
+_INT_LIST = re.compile(r"\s*(?:(%s(?:\s*,\s*%s)*)(\s*,)?)?\s*(\})?" % (_INT, _INT))
+
+
 class _Scanner:
     def __init__(self, text):
         self.text = text
@@ -77,15 +85,12 @@ class _Scanner:
         return self.i >= len(self.text)
 
     def integer(self):
-        self.skip_ws()
-        start = self.i
-        if self.i < len(self.text) and self.text[self.i] in "+-":
-            self.i += 1
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start or not self.text[start:self.i].lstrip("+-"):
-            raise SetSyntaxError("expected an integer", start)
-        return int(self.text[start:self.i])
+        m = _INTEGER.match(self.text, self.i)
+        if not m:
+            self.skip_ws()
+            raise SetSyntaxError("expected an integer", self.i)
+        self.i = m.end()
+        return int(m.group(1))
 
     def fraction(self):
         num = self.integer()
@@ -111,27 +116,18 @@ class _Scanner:
         return self.text[start:self.i]
 
 
-# a well-formed integer list body and its closing brace
-_INT_LIST = re.compile(r"\s*([+-]?\d+(?:\s*,\s*[+-]?\d+)*)?\s*\}")
-
-
 def _int_literal(sc: _Scanner) -> list:
     """The integers of a ``{e1,e2,...}`` literal, braces included."""
     sc.take("{")
     m = _INT_LIST.match(sc.text, sc.i)
-    if m:
+    body, comma, close = m.groups()
+    if close and not comma:
         sc.i = m.end()
-        body = m.group(1)
         return list(map(int, body.split(","))) if body else []
-    # malformed: rescan token by token for the positioned error
-    elems = []
-    if sc.peek() != "}":
-        elems.append(sc.integer())
-        while sc.peek() == ",":
-            sc.take(",")
-            elems.append(sc.integer())
-    sc.take("}")
-    return elems
+    sc.i = m.start(3) if close else m.end()
+    if body and not comma:
+        raise SetSyntaxError("expected '}'", sc.i)
+    raise SetSyntaxError("expected an integer", sc.i)
 
 
 def _parse_set(sc: _Scanner):

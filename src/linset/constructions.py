@@ -45,7 +45,9 @@ class TruncatedSet:
 
 
 def finite_gamma(elems, a: int, b: int):
-    """{a*x - b*y} over a finite set, by explicit convolution."""
+    """{a*x - b*y} over a finite set, by explicit convolution; a, b >= 0."""
+    if a < 0 or b < 0:
+        raise ValueError("finite_gamma needs nonnegative coefficients")
     elems = sorted(set(elems))
     if not elems:
         return []

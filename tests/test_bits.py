@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from linset import _bits as bits_module
-from linset._bits import (_BLOCK_BITS, _SHIFT_OR_BITS, _bits, _class_sum, _fft_cutoff,
-                          _fft_or, _from_offsets, _reflect, _reverse, _spread, convolve_or)
+from linset._bits import (_BLOCK_BITS, _SHIFT_OR_BITS, _SMALL_BITS, _SPARSE_BITS, _bits,
+                          _class_sum, _fft_cutoff, _fft_or, _from_offsets, _reflect,
+                          _reverse, _spread, convolve_or)
 
 
 def ref_bits(mask):
@@ -201,8 +202,9 @@ def test_linear_helpers_match_loops(width):
         assert _reflect(m, width) == sum(1 << (-i % width) for i in bits)
         for n in (1, 2, 5):
             assert _spread(m, n, n * width) == sum(1 << (n * i) for i in bits)
-            assert _spread(m, n, width) == \
-                _from_offsets({n * i % width for i in bits}, width)
+        for n in (0, -1, -3, 1, 2, 5):
+            for mod in (width, 2 * width + 1, 3 * width + 7):
+                assert _spread(m, n, mod) == _from_offsets({n * i % mod for i in bits}, mod)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 60, 3000])
@@ -215,6 +217,25 @@ def test_class_sum_matches_sets(d):
         want = {(x + y) % d for x in xs for y in ys}
         got = _class_sum(sum(1 << x for x in xs), sum(1 << y for y in ys), d)
         assert got == sum(1 << r for r in want)
+
+
+def test_bits_sparse_wide_masks(monkeypatch):
+    # masks past _SMALL_BITS are walked bit by bit up to _SPARSE_BITS set
+    # bits, and unpacked by numpy above that
+    unpacked = []
+
+    def counted_unpack(mask, width):
+        unpacked.append(width)
+        return unpack(mask, width)
+    unpack = bits_module._unpack
+    monkeypatch.setattr(bits_module, "_unpack", counted_unpack)
+    rng = random.Random(3)
+    for width in (_SMALL_BITS, _SMALL_BITS + 1, 4000):
+        for k in (_SPARSE_BITS, _SPARSE_BITS + 1):
+            m = with_popcount(rng, width - 1, k - 1) | (1 << (width - 1))
+            unpacked.clear()
+            assert list(_bits(m)) == ref_bits(m)
+            assert len(unpacked) == (width > _SMALL_BITS and k > _SPARSE_BITS)
 
 
 def test_bits_is_an_iterator():

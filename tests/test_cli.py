@@ -65,6 +65,17 @@ def test_parse_malformed_literals_pinned(text, message, pos):
         assert (str(e.value), e.value.pos) == ("%s (at position %d)" % (message, at), at)
 
 
+def test_parse_non_decimal_digits_are_syntax_errors():
+    # "\u00b2" passes str.isdigit but is no decimal digit: a positioned
+    # error, not a ValueError from int()
+    for text, pos in (("{1,\u00b2}", 3), ("{7\u00b2}", 2), ("AP+(1,2\u00b2)", 7)):
+        with pytest.raises(SetSyntaxError) as e:
+            parse_set_expression(text)
+        assert e.value.pos == pos
+    with pytest.raises(SetSyntaxError):
+        parse_residue_set("mod \u00b2 {1}")
+
+
 def test_parse_constructions():
     t = parse_set_expression("sparse(1/2, 50, 1, 4, 27)")
     assert isinstance(t, TruncatedSet)

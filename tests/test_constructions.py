@@ -133,6 +133,13 @@ def test_finite_gamma():
     assert got == brute
 
 
+def test_finite_gamma_coefficient_signs():
+    assert finite_gamma([0, 2, 5], 0, 1) == [-5, -2, 0]
+    for a, b in ((1, -1), (-1, 2), (3, -1)):
+        with pytest.raises(ValueError):
+            finite_gamma([0, 2, 5], a, b)
+
+
 def test_finite_gamma_window_cap():
     # (a + b) * (hi - lo) + 1 positions, refused before any mask is built
     with pytest.raises(WindowCapExceeded) as e:

@@ -42,6 +42,16 @@ def test_gamma_mod_examples():
     assert gamma_mod(ResidueSet(6, [0]), 5, 1) == ResidueSet(6, [0])
 
 
+def test_gamma_mod_nonpositive_coefficients():
+    # members past 256 bits with a zero or negative coefficient: aU - bU
+    u = ResidueSet(300, [0, 1, 280])
+    for a, b in ((1, -1), (-1, 1), (0, 1), (1, 0), (-3, 2), (3, -5)):
+        assert gamma_mod(u, a, b) == brute_gamma(u, a, b), (a, b)
+    assert gamma_mod(u, 1, -1) == ResidueSet(300, [0, 1, 20, 21, 279, 280, 299])
+    big = ResidueSet(1000, range(0, 1000, 7))
+    assert gamma_mod(big, 2, -1) == brute_gamma(big, 2, -1)
+
+
 def test_period_examples():
     assert period(ResidueSet(12, [0, 3, 6, 9])) == ResidueSet(12, [0, 3, 6, 9])
     assert period(U12) == ResidueSet(12, [0])
