@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import constructions
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import EPSet, ResourceLimitExceeded
+from .epset import EPSet, ResourceLimitExceeded, window_cap
 from .linops import OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -251,6 +251,9 @@ def parse_ops(text: str) -> OpSequence:
             reps = sc.integer()
             if reps < 1:
                 raise SetSemanticError("repetition count must be positive")
+        if len(ops) + reps > window_cap():
+            raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
+                                        % (len(ops) + reps, window_cap()))
         ops.extend([(a, b)] * reps)
     if cyclic:
         sc.take("]")

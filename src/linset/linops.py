@@ -6,7 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .epset import EPSet
+import numpy as np
+
+from .epset import EPSet, window_cap
 
 
 @dataclass(frozen=True)
@@ -118,12 +120,99 @@ class CoefficientExpansion:
 def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     """Expand a composition into its signed coefficient multiset.
 
-    Each operation contributes a two-way split (+a_i, -b_i); aggregating by
-    value keeps the map small even though the number of splittings is 2^s.
-    Multiplicities are exact big integers.
+    Each operation contributes a two-way split (+a_i, -b_i), so every
+    coefficient is +-prod(a_i or b_i) and the 2^s splittings aggregate by
+    value.  The values live on an exponent lattice: over a gcd-free
+    (pairwise coprime) base of all a_i, b_i > 1, each coefficient is
+    prod p^e_p with 0 <= e_p <= E_p = sum_i max(e_p(a_i), e_p(b_i)), so
+    the lattice has R = prod(E_p + 1) cells.  Two flat numpy arrays (one
+    per sign, mixed-radix strides) hold the multiplicities; op i shifts
+    both by the flat offsets A_i of a_i and B_i of b_i and adds:
+    pos' = pos<<A_i + neg<<B_i, neg' = neg<<A_i + pos<<B_i.  The nonzero
+    cells decode to the values.
+
+    Multiplicities are exact.  No cell exceeds the 2^(s-1) splittings of
+    its sign, so int64 holds them up to s = 62 and Python ints (object
+    dtype) above.  A lattice larger than ``window_cap()``, as for ops with
+    pairwise coprime large coefficients (R = 4^s for 2^s values), is not
+    allocated: those inputs aggregate value by value in a dict instead.
     """
     if len(seq) == 0:
         raise ValueError("composition of zero operations has no expansion")
+    base = _coprime_base({c for op in seq for c in (op.a, op.b) if c > 1})
+    exps = [(_exponents(op.a, base), _exponents(op.b, base)) for op in seq]
+    shape = tuple(sum(max(ea[j], eb[j]) for ea, eb in exps) + 1 for j in range(len(base)))
+    if math.prod(shape) > window_cap():
+        terms = _expand_by_value(seq)
+    else:
+        terms = _expand_on_lattice(base, shape, exps)
+    return CoefficientExpansion(terms=terms, size=len(seq))
+
+
+def _coprime_base(values) -> list:
+    """A gcd-free basis of integers > 1: pairwise coprime elements of which
+    every value is a product of powers.  Two elements sharing g > 1 are
+    replaced by g, x/g and y/g until none do; each step divides the
+    product of all elements by g, so the loop ends."""
+    base = []
+    pending = sorted(values)
+    while pending:
+        x = pending.pop()
+        if x == 1 or x in base:
+            continue
+        for i, y in enumerate(base):
+            g = math.gcd(x, y)
+            if g > 1:
+                del base[i]
+                pending += (g, x // g, y // g)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _exponents(c: int, base: list) -> tuple:
+    """Exponent vector of c over a gcd-free base, by repeated division."""
+    out = []
+    for p in base:
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        out.append(e)
+    return tuple(out)
+
+
+def _expand_on_lattice(base: list, shape: tuple, exps: list) -> dict:
+    strides = [1]
+    for n in shape[:-1]:
+        strides.append(strides[-1] * n)
+    size = math.prod(shape)
+    dtype = np.int64 if len(exps) <= 62 else object
+    pos, neg, pos2, neg2 = (np.zeros(size, dtype=dtype) for _ in range(4))
+    pos[0] = 1
+    live = 1
+    for ea, eb in exps:
+        sa = sum(e * st for e, st in zip(ea, strides))
+        sb = sum(e * st for e, st in zip(eb, strides))
+        grown = live + max(sa, sb)
+        for out, same, other in ((pos2, pos, neg), (neg2, neg, pos)):
+            out[:grown] = 0
+            out[sa:sa + live] = same[:live]
+            out[sb:sb + live] += other[:live]
+        pos, neg, pos2, neg2 = pos2, neg2, pos, neg
+        live = grown
+    terms = {}
+    for sign, cells in ((1, pos[:live]), (-1, neg[:live])):
+        idx = np.flatnonzero(cells)
+        values = np.full(len(idx), sign, dtype=object)
+        for p, n, st in zip(base, shape, strides):
+            values *= np.array([p ** k for k in range(n)], dtype=object)[idx // st % n]
+        terms.update(zip(values.tolist(), cells[idx].tolist()))
+    return terms
+
+
+def _expand_by_value(seq: OpSequence) -> dict:
     terms = {1: 1}
     for op in seq:
         nxt = {}
@@ -131,7 +220,7 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
             for c2 in (c * op.a, -c * op.b):
                 nxt[c2] = nxt.get(c2, 0) + m
         terms = nxt
-    return CoefficientExpansion(terms=terms, size=len(seq))
+    return terms
 
 
 def guaranteed_collision_count(t: int, bound: int) -> int:

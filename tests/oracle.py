@@ -8,6 +8,8 @@ bookkeeping of the implementation under test is reused here.
 """
 
 import math
+from collections import Counter
+from itertools import product
 
 
 def member(s, x):
@@ -119,3 +121,12 @@ def restrict_nonnegative_bitmap(s, radius):
 def agrees(result, expected_bitmap, radius):
     """True iff the EPSet `result` matches the bitmap on [-radius, radius]."""
     return result.membership_mask(-radius, radius) == expected_bitmap
+
+
+def coefficient_expansion(pairs):
+    """Signed coefficient multiset of a composition of ops (a, b): one
+    term prod(a_i or -b_i) per splitting, all 2^s splittings enumerated."""
+    counts = Counter()
+    for choice in product(*[(a, -b) for a, b in pairs]):
+        counts[math.prod(choice)] += 1
+    return dict(counts)

@@ -15,7 +15,7 @@ from linset.cli import (
     run,
 )
 from linset.constructions import TruncatedSet
-from linset.epset import EPSet
+from linset.epset import EPSet, ResourceLimitExceeded
 from linset.linops import LinearOp
 
 
@@ -226,6 +226,20 @@ def test_cli_residue_budget_exit_code(capsys):
                 "--max-steps", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "resource limit: orbit did not close within 1 steps\n"
+
+
+def test_parse_ops_repetition_cap():
+    # 2^21 repetitions exceed the default cap of 2^20 before any list is built
+    with pytest.raises(ResourceLimitExceeded, match="2097152 ops exceeds the cap 1048576"):
+        parse_ops("(3,1)^2097152")
+    with pytest.raises(ResourceLimitExceeded):
+        parse_ops("(2,1)^1048575(3,1)^2")
+
+
+def test_cli_repetition_cap_exit_code(capsys):
+    assert run(["iterate", "--set", "N", "--ops", "(3,1)^1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "resource limit: operation sequence of 1000000000 ops exceeds the cap 1048576\n"
 
 
 def test_cli_text_and_csv_formats(capsys):

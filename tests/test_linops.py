@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import epsets
-from linset.epset import EPSet
+from linset import linops
+from linset.cli import random_ops
+from linset.epset import EPSet, set_window_cap, window_cap
 from linset.linops import (
     LinearOp,
     OpSequence,
@@ -42,6 +44,64 @@ def test_compose_coefficients_examples():
     assert exp.terms == {1: 1, -1: 1}
     exp = compose_coefficients(OpSequence(((2, 1), (2, 1))))
     assert exp.terms == {4: 1, 1: 1, -2: 2}
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_compose_coefficients_matches_oracle(pairs):
+    # 4, 6, 8, 9, 10 and 12 share factors, so the coprime base is a true
+    # refinement of the coefficients; 7 and 11 add lattice axes
+    assert compose_coefficients(OpSequence(tuple(pairs))).terms == \
+        oracle.coefficient_expansion(pairs)
+
+
+def test_compose_coefficients_past_int64():
+    # 2^63 splittings of each sign land on one cell: an int64 cell would wrap
+    exp = compose_coefficients(OpSequence.repeat(1, 1, 64, bound=2))
+    assert exp.terms == {1: 2 ** 63, -1: 2 ** 63}
+
+
+def _spy_by_value(monkeypatch):
+    calls = []
+    inner = linops._expand_by_value
+
+    def spy(seq):
+        calls.append(len(seq))
+        return inner(seq)
+    monkeypatch.setattr(linops, "_expand_by_value", spy)
+    return calls
+
+
+def test_compose_coefficients_distinct_primes_by_value(monkeypatch):
+    primes = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+              79, 83, 89, 97]
+    pairs = list(zip(primes[::2], primes[1::2]))
+    assert len(pairs) == 11
+    calls = _spy_by_value(monkeypatch)
+    # 4^11 lattice cells exceed the default cap; the dict holds 2^11 terms
+    assert compose_coefficients(OpSequence(tuple(pairs))).terms == \
+        oracle.coefficient_expansion(pairs)
+    assert calls == [11]
+
+
+def test_compose_coefficients_above_window_cap(monkeypatch):
+    seq = random_ops(8, 5, 3, cyclic=False)
+    calls = _spy_by_value(monkeypatch)
+    on_lattice = compose_coefficients(seq).terms
+    assert calls == []
+    old = window_cap()
+    set_window_cap(64)
+    try:
+        by_value = compose_coefficients(seq).terms
+    finally:
+        set_window_cap(old)
+    assert calls == [8]
+    assert by_value == on_lattice == oracle.coefficient_expansion([(op.a, op.b) for op in seq])
+
+
+def test_compose_coefficients_empty():
+    with pytest.raises(ValueError, match="zero operations"):
+        compose_coefficients(OpSequence(()))
 
 
 def test_composition_examples():
@@ -105,6 +165,22 @@ def test_dominant_pair_constant_two_one():
     assert beta == 2 ** 19
     assert mult == math.comb(40, 19)
     assert mult >= guaranteed_collision_count(40, 2) >= 2
+
+
+# recorded from the value-by-value expansion; identical for m = 64 and 512
+DEPTH_40_PAIRS = {
+    0: (251942400000000000, 251942400000000000, 2308123860),
+    1: (26873856000000000, 26873856000000000, 2313024141),
+    2: (1417176000000000000, 1417176000000000000, 2923160576),
+    3: (100776960000000000, 100776960000000000, 2402327680),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEPTH_40_PAIRS))
+@pytest.mark.parametrize("m", [64, 512])
+def test_dominant_pair_depth_40_pinned(seed, m):
+    seq = random_ops(40, 5, seed, cyclic=False)
+    assert dominant_coefficient_pair(seq, m) == DEPTH_40_PAIRS[seed]
 
 
 def test_dominant_pair_below_threshold():
