@@ -276,6 +276,27 @@ def random_ops(length: int, bound: int, seed: int, cyclic: bool = True) -> OpSeq
     return OpSequence(tuple(ops), bound=bound, cyclic=cyclic)
 
 
+def _parse_rand(text: str, seed: int) -> OpSequence:
+    """The ``rand(n,L)`` entry of ``sweep --ops-list``: ``random_ops(n, L,
+    seed)``."""
+    sc = _Scanner(text)
+    if sc.name() != "rand":
+        raise SetSyntaxError("expected 'rand'", 0)
+    sc.take("(")
+    n = sc.integer()
+    sc.take(",")
+    bound = sc.integer()
+    sc.take(")")
+    if not sc.at_end():
+        raise SetSyntaxError("trailing input", sc.i)
+    if n < 1 or bound < 1:
+        raise SetSemanticError("rand(n,L) needs n >= 1 and L >= 1")
+    if n > window_cap():
+        raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
+                                    % (n, window_cap()))
+    return random_ops(n, bound, seed)
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -539,11 +560,8 @@ def cmd_sweep(args) -> tuple[str, int]:
     ops_entries = [x.strip() for x in args.ops_list.split(";") if x.strip()]
     expanded_ops = []
     for entry in ops_entries:
-        if entry.startswith("rand("):
-            inner = entry[5:].rstrip(")")
-            n_str, l_str = inner.split(",")
-            seq = random_ops(int(n_str), int(l_str), args.seed)
-            expanded_ops.append(str(seq))
+        if entry.startswith("rand"):
+            expanded_ops.append(str(_parse_rand(entry, args.seed)))
         else:
             expanded_ops.append(entry)
     cells = [(se, oe, args.L, args.c, args.max_steps)

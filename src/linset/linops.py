@@ -117,6 +117,13 @@ class CoefficientExpansion:
         return max(abs(c) for c in self.terms)
 
 
+# Largest lattice, in cells per splitting, that is expanded on the lattice.
+# Timed on 1-16 ops of small primes, the lattice took about as long as the
+# dict loop at R = 4 * 2^s and 1.4-10x longer from R = 6 * 2^s on, while
+# at depth 40 (R ~ 2e4 << 2^40) it is what keeps the expansion fast.
+_LATTICE_CELLS_PER_SPLIT = 4
+
+
 def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     """Expand a composition into its signed coefficient multiset.
 
@@ -133,16 +140,18 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
 
     Multiplicities are exact.  No cell exceeds the 2^(s-1) splittings of
     its sign, so int64 holds them up to s = 62 and Python ints (object
-    dtype) above.  A lattice larger than ``window_cap()``, as for ops with
-    pairwise coprime large coefficients (R = 4^s for 2^s values), is not
-    allocated: those inputs aggregate value by value in a dict instead.
+    dtype) above.  A lattice larger than ``window_cap()`` or than
+    ``_LATTICE_CELLS_PER_SPLIT * 2^s`` cells, as for ops with pairwise
+    coprime large coefficients (R = 4^s for 2^s values), is not allocated:
+    those inputs aggregate value by value in a dict instead.
     """
     if len(seq) == 0:
         raise ValueError("composition of zero operations has no expansion")
     base = _coprime_base({c for op in seq for c in (op.a, op.b) if c > 1})
     exps = [(_exponents(op.a, base), _exponents(op.b, base)) for op in seq]
     shape = tuple(sum(max(ea[j], eb[j]) for ea, eb in exps) + 1 for j in range(len(base)))
-    if math.prod(shape) > window_cap():
+    cells = math.prod(shape)
+    if cells > window_cap() or cells > _LATTICE_CELLS_PER_SPLIT << len(seq):
         terms = _expand_by_value(seq)
     else:
         terms = _expand_on_lattice(base, shape, exps)

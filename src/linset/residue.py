@@ -20,7 +20,7 @@ import numpy as np
 
 from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
                     _rotate, _spread)
-from .epset import EPSet, ResourceLimitExceeded
+from .epset import EPSet, ResourceLimitExceeded, window_cap
 
 
 def totient(n: int) -> int:
@@ -357,9 +357,20 @@ def difference_fully_periodic_check(a_set: EPSet, g: int, b_set: EPSet,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweeps over subsets of Z/gZ.  Subsets are uint32/uint64 masks;
-# the image masks of U -> aU + bU are computed with g**2 elementwise passes,
-# which keeps exhaustive runs over all 2^g subsets tractable.
+# Vectorized sweeps over subsets of Z/gZ.  Subsets are masks of dtype
+# uint32 for g <= 32 and uint64 up to g = 64; a rotation by s is
+# ((v << s) | (v >> (g - s))) & full, so bits shifted past the dtype are
+# always bits the mask drops.  An exhaustive sweep builds the image table
+# of all 2^g subsets by doubling: for U < 2^k,
+#     a(U+{k}) + b(U+{k}) = (aU + bU) | (ak + bU) | (aU + bk) | {(a+b)k},
+# where (ak + bU) | {(a+b)k} = ak + b(U+{k}), so each block [2^k, 2^(k+1))
+# takes about 12 elementwise passes over the block [0, 2^k) below it, and
+# the table about 12 * 2^g operations in all.  Sampled masks share no such
+# structure and take 3g elementwise passes each (``_image_masks``).
+
+def _mask_dtype(g: int):
+    return np.uint32 if g <= 32 else np.uint64
+
 
 def _image_masks(masks: np.ndarray, g: int, a: int, b: int) -> np.ndarray:
     dt = masks.dtype
@@ -384,6 +395,33 @@ def _image_masks(masks: np.ndarray, g: int, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _image_table(g: int, a: int, b: int) -> np.ndarray:
+    """images[U] = aU + bU mod g for every mask U < 2^g, by doubling."""
+    dt = _mask_dtype(g)
+    au, bu, out = (np.zeros(1 << g, dtype=dt) for _ in range(3))
+    tmp = np.empty(1 << (g - 1), dtype=dt)
+    full = dt((1 << g) - 1)
+    for k in range(g):
+        h = 1 << k
+        sa, sb = a * k % g, b * k % g
+        lo, hi, t = slice(0, h), slice(h, 2 * h), tmp[:h]
+        np.bitwise_or(au[lo], dt(1 << sa), out=au[hi])
+        np.bitwise_or(bu[lo], dt(1 << sb), out=bu[hi])
+        # images of the block: rot(b(U+{k}), ak) | rot(aU, bk) | (aU + bU)
+        o = out[hi]
+        for v, s in ((bu[hi], sa), (au[lo], sb)):
+            if s == 0:
+                o |= v
+                continue
+            np.left_shift(v, dt(s), out=t)
+            o |= t
+            np.right_shift(v, dt(g - s), out=t)
+            o |= t
+        o &= full
+        o |= out[lo]
+    return out
+
+
 def _popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
 
@@ -391,18 +429,31 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
 def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
     """Check |aU + bU| >= |U| over many subsets at once.
 
-    With ``masks=None`` sweeps all 2^g subsets.  Returns (all_hold,
-    equality_masks): equality_masks lists the subsets (as ints) where
-    |aU + bU| == |U| with U nonempty.
+    With ``masks=None`` sweeps all 2^g subsets through the doubling image
+    table, refusing with ``ResourceLimitExceeded`` before any allocation
+    when 2^g exceeds ``window_cap()``.  Otherwise ``masks`` is an integer
+    array of subsets in [0, 2^g), imaged mask by mask.  Masks are uint32
+    for g <= 32 and uint64 up to g = 64; g outside 1..64 and masks outside
+    [0, 2^g) raise ``ValueError``.  Returns (all_hold, equality_masks):
+    equality_masks lists the subsets (as ints) where |aU + bU| == |U|
+    with U nonempty.
     """
-    dt = np.uint32 if g <= 16 else np.uint64
+    if not 1 <= g <= 64:
+        raise ValueError("sweep modulus must be in 1..64, got %d" % g)
     if masks is None:
-        masks = np.arange(1 << g, dtype=dt)
+        if (1 << g) > window_cap():
+            raise ResourceLimitExceeded("sweep over 2^%d subsets exceeds the cap %d"
+                                        % (g, window_cap()))
+        images = _image_table(g, a, b)
+        masks = np.arange(1 << g, dtype=images.dtype)
     else:
-        masks = masks.astype(dt)
-    images = _image_masks(masks, g, a, b)
+        if masks.dtype.kind not in "iu":
+            raise ValueError("masks must be an integer array")
+        if masks.size and (int(masks.min()) < 0 or int(masks.max()) >> g):
+            raise ValueError("masks must lie in [0, 2^%d)" % g)
+        masks = masks.astype(_mask_dtype(g))
+        images = _image_masks(masks, g, a, b)
     pc_u = _popcounts(masks)
     pc_im = _popcounts(images)
-    all_hold = bool(np.all(pc_im >= pc_u))
     eq = masks[(pc_im == pc_u) & (pc_u > 0)]
-    return all_hold, [int(m) for m in eq]
+    return bool(np.all(pc_im >= pc_u)), eq.tolist()

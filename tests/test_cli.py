@@ -242,6 +242,28 @@ def test_cli_repetition_cap_exit_code(capsys):
     assert err == "resource limit: operation sequence of 1000000000 ops exceeds the cap 1048576\n"
 
 
+# malformed rand(n,L) entries of sweep --ops-list: exit 3, one stderr line
+RAND_ERRORS = [("rand(3)", "expected ',' (at position 6)"),
+               ("rand(3,x)", "expected an integer (at position 7)"),
+               ("rand(3,5)))", "trailing input (at position 9)"),
+               ("randx(3,5)", "expected 'rand' (at position 0)"),
+               ("rand(0,5)", "rand(n,L) needs n >= 1 and L >= 1"),
+               ("rand(3,0)", "rand(n,L) needs n >= 1 and L >= 1")]
+
+
+@pytest.mark.parametrize("entry,message", RAND_ERRORS)
+def test_cli_sweep_rand_errors(entry, message, capsys):
+    code = run(["sweep", "--sets", "N", "--ops-list", "(2,1);" + entry, "--L", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (3, "error: %s\n" % message, "")
+
+
+def test_cli_sweep_rand_length_cap(capsys):
+    assert run(["sweep", "--sets", "N", "--ops-list", "rand(2000000,3)", "--L", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "resource limit: operation sequence of 2000000 ops exceeds the cap 1048576\n"
+
+
 def test_cli_text_and_csv_formats(capsys):
     assert run(["iterate", "--set", "Z", "--ops", "(2,1)", "--format", "text"]) == 0
     text = capsys.readouterr().out

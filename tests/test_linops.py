@@ -84,6 +84,19 @@ def test_compose_coefficients_distinct_primes_by_value(monkeypatch):
     assert calls == [11]
 
 
+def test_compose_coefficients_sparse_lattice_by_value(monkeypatch):
+    # 10 ops of distinct primes: R = 4^10 = 2^20 cells, within the default
+    # cap but 1024 cells per splitting, so the dict loop takes them
+    primes = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+              79, 83]
+    pairs = list(zip(primes[::2], primes[1::2]))
+    assert 4 ** len(pairs) == window_cap()
+    calls = _spy_by_value(monkeypatch)
+    assert compose_coefficients(OpSequence(tuple(pairs))).terms == \
+        oracle.coefficient_expansion(pairs)
+    assert calls == [10]
+
+
 def test_compose_coefficients_above_window_cap(monkeypatch):
     seq = random_ops(8, 5, 3, cyclic=False)
     calls = _spy_by_value(monkeypatch)

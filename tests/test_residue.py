@@ -1,5 +1,6 @@
 """Tests for residue-set structure: images, periods, decomposition, orbits."""
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -7,7 +8,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from linset.epset import EPSet
+from linset import residue
+from linset.epset import EPSet, ResourceLimitExceeded, set_window_cap, window_cap
 from linset.residue import (
     DecompositionCertificate,
     DecompositionFailure,
@@ -253,3 +255,117 @@ def test_multiplicative_order():
     assert multiplicative_order(1, 7) == 1
     with pytest.raises(ValueError):
         multiplicative_order(3, 6)
+
+
+def _pairs_for(g):
+    return [(a, b) for a in range(1, 7) for b in range(1, 7)] + \
+        [(g, 1), (g + 1, g), (2 * g + 3, 7 * g + 5)]
+
+
+def test_image_table_matches_image_masks():
+    # coprime or not, and coefficients at or past the modulus
+    for g in range(1, 15):
+        masks = np.arange(1 << g, dtype=np.uint32)
+        for a, b in _pairs_for(g):
+            got = residue._image_table(g, a, b)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, residue._image_masks(masks, g, a, b)), (g, a, b)
+
+
+def test_image_table_matches_gamma_mod_sampled():
+    rng = np.random.default_rng(7)
+    for g, pairs in ((17, ((2, 1), (4, 1))), (18, ((5, 2), (4, 3))),
+                     (19, ((2, 1), (5, 4))), (20, ((3, 2), (6, 5)))):
+        for a, b in pairs:
+            table = residue._image_table(g, a, b)
+            for mask in rng.integers(0, 1 << g, size=2000).tolist():
+                want = gamma_mod(ResidueSet.from_mask(g, mask), a, b).mask
+                assert int(table[mask]) == want, (g, a, b, mask)
+
+
+def test_sweep_exhaustive_matches_explicit_masks():
+    for g in range(1, 15):
+        masks = np.arange(1 << g, dtype=np.uint64)
+        for a, b in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 6)):
+            assert cardinality_sweep(g, a, b) == \
+                cardinality_sweep(g, a, b, masks=masks), (g, a, b)
+
+
+# sha256 of "<all_hold> <equality masks>" for the benchmark's moduli above
+# the exhaustive range, recorded with the per-bit image kernel
+SWEEP_DIGESTS = {
+    (17, 2, 1): "507a35cd6be756850163da991eec9548e5136f08ae0d0787b98726b2cf3e60db",
+    (17, 3, 2): "507a35cd6be756850163da991eec9548e5136f08ae0d0787b98726b2cf3e60db",
+    (17, 5, 3): "507a35cd6be756850163da991eec9548e5136f08ae0d0787b98726b2cf3e60db",
+    (17, 4, 1): "507a35cd6be756850163da991eec9548e5136f08ae0d0787b98726b2cf3e60db",
+    (18, 3, 1): "9ae8cd3d681b0bdbb3406c40944c4931318d43abe6e7a04fb66c5a867d7f4bdf",
+    (18, 5, 2): "b6715a8fc348f1eacf1205f481f77a2e26367e4b62d2690ad3406ac73448773d",
+    (18, 4, 3): "9ae8cd3d681b0bdbb3406c40944c4931318d43abe6e7a04fb66c5a867d7f4bdf",
+    (19, 2, 1): "1c4a121f34da88d0039a88455ecfb5de4c1a42e0d64fc91c4323220f3b99460b",
+    (19, 5, 4): "1c4a121f34da88d0039a88455ecfb5de4c1a42e0d64fc91c4323220f3b99460b",
+    (20, 3, 2): "d4dddf146d7cb4b8515c50db7fd03212d22c08874306c2413d42ba62c996c574",
+    (20, 6, 5): "1968e909561e3fa888d009bf92abddbe784a8b776c10dc04c26634c04eb7fbef",
+}
+
+
+@pytest.mark.parametrize("g,a,b", sorted(SWEEP_DIGESTS))
+def test_sweep_golden_digests(g, a, b):
+    hold, eq = cardinality_sweep(g, a, b)
+    text = "%s %s" % (hold, " ".join(map(str, eq)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[g, a, b]
+
+
+@pytest.mark.parametrize("g", [31, 32, 33, 64])
+def test_sweep_masks_across_dtype_boundary(g):
+    # uint32 up to g = 32, uint64 above: top bits must survive the rotations
+    rng = random.Random(g)
+    top = (1 << g) - 1
+    samples = [top, 1 << (g - 1), 1, 3 << (g - 2), top ^ 1] + \
+        [rng.getrandbits(g) for _ in range(60)] + \
+        [rng.getrandbits(g) & rng.getrandbits(g) & rng.getrandbits(g) for _ in range(60)]
+    for a, b in ((2, 1), (3, 2), (g - 1, 1)):
+        want_eq = []
+        want_hold = True
+        for mask in samples:
+            u = ResidueSet.from_mask(g, mask)
+            n_im = len(gamma_mod(u, a, b))
+            want_hold &= n_im >= len(u)
+            if mask and n_im == len(u):
+                want_eq.append(mask)
+        got = cardinality_sweep(g, a, b, masks=np.array(samples, dtype=np.uint64))
+        assert got == (want_hold, want_eq), (g, a, b)
+
+
+def test_sweep_input_contract():
+    # a bit at or above g is refused, not counted in |U| and left unimaged
+    with pytest.raises(ValueError, match="masks must lie in"):
+        cardinality_sweep(4, 2, 1, masks=np.array([0b10001], dtype=np.uint64))
+    with pytest.raises(ValueError, match="masks must lie in"):
+        cardinality_sweep(4, 2, 1, masks=np.array([3, -1], dtype=np.int64))
+    with pytest.raises(ValueError, match="integer array"):
+        cardinality_sweep(4, 2, 1, masks=np.array([1.0, 3.0]))
+    for g in (0, -3):
+        with pytest.raises(ValueError, match="1..64"):
+            cardinality_sweep(g, 2, 1)
+    with pytest.raises(ValueError, match="1..64"):
+        cardinality_sweep(65, 2, 1, masks=np.array([1], dtype=np.uint64))
+    assert cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.int64)) == \
+        cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.uint64))
+    assert cardinality_sweep(5, 2, 1, masks=np.array([], dtype=np.uint64)) == (True, [])
+
+
+def test_sweep_refuses_above_window_cap():
+    # 2^40 subsets at the default cap of 2^20: refused before any allocation
+    with pytest.raises(ResourceLimitExceeded, match="2\\^40 subsets"):
+        cardinality_sweep(40, 2, 1)
+    old = window_cap()
+    try:
+        set_window_cap(1 << 10)
+        assert cardinality_sweep(10, 2, 1) == cardinality_sweep(
+            10, 2, 1, masks=np.arange(1 << 10, dtype=np.uint64))
+        with pytest.raises(ResourceLimitExceeded):
+            cardinality_sweep(11, 2, 1)
+        # explicit masks are bounded by their own array, not by the cap
+        assert cardinality_sweep(11, 2, 1, masks=np.array([1, 2, 3], dtype=np.uint64))[0]
+    finally:
+        set_window_cap(old)
