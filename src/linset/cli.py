@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import constructions
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import EPSet, ResourceLimitExceeded, window_cap
+from .epset import EPSet, ResourceLimitExceeded, set_window_cap, window_cap
 from .linops import OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -543,7 +543,10 @@ def cmd_construct(args) -> tuple[str, int]:
 
 
 def _sweep_cell(cell):
-    set_expr, ops_expr, bound, c, max_steps = cell
+    # the cell carries the window cap: a worker started by spawn or
+    # forkserver does not inherit a cap set through set_window_cap
+    set_expr, ops_expr, bound, c, max_steps, cap = cell
+    set_window_cap(cap)
     s = parse_set_expression(set_expr)
     if isinstance(s, TruncatedSet):
         s = s.to_epset()
@@ -564,7 +567,7 @@ def cmd_sweep(args) -> tuple[str, int]:
             expanded_ops.append(str(_parse_rand(entry, args.seed)))
         else:
             expanded_ops.append(entry)
-    cells = [(se, oe, args.L, args.c, args.max_steps)
+    cells = [(se, oe, args.L, args.c, args.max_steps, window_cap())
              for se in sets for oe in expanded_ops]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -619,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
+    p.add_argument("--max-steps", type=int, default=20000, dest="max_steps")
     common(p)
     p.set_defaults(func=cmd_residue)
 

@@ -463,9 +463,11 @@ class EPSet:
 # The sum is assembled from pairwise sums of the three parts of each operand
 # (window, upward tail, downward tail).  Each pairwise sum is either finite,
 # one-sided periodic beyond an explicitly computed saturation bound, or (for
-# opposite tails) a union of full residue classes.  The saturation bound for
-# same-direction tails is onset1 + onset2 + m1*m2, a crude but safe coverage
-# bound; canonicalization removes the slack afterwards.
+# opposite tails) a union of full residue classes.  Two same-direction tails
+# of periods m1, m2 (d = gcd) saturate within a span of
+# m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first elements, the Frobenius
+# bound of m1/d and m2/d scaled by d (``_sum_up_up``); canonicalization
+# removes any slack afterwards.
 
 def _sum_windows(w1, w2):
     lo1, m1 = w1

@@ -4,11 +4,12 @@ coefficient multisets of composed operations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .epset import EPSet, window_cap
+from .residue import ResidueSet, gamma_mod
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,13 @@ class CoefficientExpansion:
 
     ``terms`` maps coefficient value -> multiplicity; summed over all
     splittings of the operation list the multiplicities total 2^s, half of
-    them on positive coefficients.
+    them on positive coefficients.  ``lattice`` holds the exponent-lattice
+    counts the terms were decoded from, when the lattice path ran.
     """
 
     terms: dict
     size: int = 0
+    lattice: "_Lattice | None" = field(default=None, repr=False, compare=False)
 
     def total_multiplicity(self) -> int:
         return sum(self.terms.values())
@@ -115,6 +118,53 @@ class CoefficientExpansion:
 
     def max_abs_coefficient(self) -> int:
         return max(abs(c) for c in self.terms)
+
+    def most_repeated(self) -> tuple:
+        """((alpha, count), (beta, count)): +alpha and -beta are the
+        most-repeated coefficients of each sign, ties broken toward the
+        smaller absolute value."""
+        if self.lattice is not None:
+            return self.lattice.most_repeated()
+        best = {True: (0, 0), False: (0, 0)}    # sign -> (count, -|c|)
+        for c, n in self.terms.items():
+            key = (n, -abs(c))
+            if key > best[c > 0]:
+                best[c > 0] = key
+        return tuple((-v, n) for n, v in (best[True], best[False]))
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Multiplicities of each sign on an exponent lattice: cell i stands for
+    the coefficient prod p_j^(i // strides[j] % shape[j]) over ``base``."""
+
+    base: list
+    shape: tuple
+    strides: list
+    pos: np.ndarray
+    neg: np.ndarray
+
+    def values(self, idx, sign: int) -> list:
+        """The signed coefficients of the cells ``idx``."""
+        values = np.full(len(idx), sign, dtype=object)
+        for p, n, st in zip(self.base, self.shape, self.strides):
+            values *= np.array([p ** k for k in range(n)], dtype=object)[idx // st % n]
+        return values.tolist()
+
+    def terms(self) -> dict:
+        terms = {}
+        for sign, cells in ((1, self.pos), (-1, self.neg)):
+            idx = np.flatnonzero(cells)
+            terms.update(zip(self.values(idx, sign), cells[idx].tolist()))
+        return terms
+
+    def most_repeated(self) -> tuple:
+        # one argmax per sign; only the cells tied at the top are decoded
+        out = []
+        for cells in (self.pos, self.neg):
+            top = cells.max()
+            out.append((min(self.values(np.flatnonzero(cells == top), 1)), int(top)))
+        return tuple(out)
 
 
 # Largest lattice, in cells per splitting, that is expanded on the lattice.
@@ -152,10 +202,9 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     shape = tuple(sum(max(ea[j], eb[j]) for ea, eb in exps) + 1 for j in range(len(base)))
     cells = math.prod(shape)
     if cells > window_cap() or cells > _LATTICE_CELLS_PER_SPLIT << len(seq):
-        terms = _expand_by_value(seq)
-    else:
-        terms = _expand_on_lattice(base, shape, exps)
-    return CoefficientExpansion(terms=terms, size=len(seq))
+        return CoefficientExpansion(terms=_expand_by_value(seq), size=len(seq))
+    lattice = _expand_on_lattice(base, shape, exps)
+    return CoefficientExpansion(terms=lattice.terms(), size=len(seq), lattice=lattice)
 
 
 def _coprime_base(values) -> list:
@@ -192,7 +241,7 @@ def _exponents(c: int, base: list) -> tuple:
     return tuple(out)
 
 
-def _expand_on_lattice(base: list, shape: tuple, exps: list) -> dict:
+def _expand_on_lattice(base: list, shape: tuple, exps: list) -> _Lattice:
     strides = [1]
     for n in shape[:-1]:
         strides.append(strides[-1] * n)
@@ -211,14 +260,7 @@ def _expand_on_lattice(base: list, shape: tuple, exps: list) -> dict:
             out[sb:sb + live] += other[:live]
         pos, neg, pos2, neg2 = pos2, neg2, pos, neg
         live = grown
-    terms = {}
-    for sign, cells in ((1, pos[:live]), (-1, neg[:live])):
-        idx = np.flatnonzero(cells)
-        values = np.full(len(idx), sign, dtype=object)
-        for p, n, st in zip(base, shape, strides):
-            values *= np.array([p ** k for k in range(n)], dtype=object)[idx // st % n]
-        terms.update(zip(values.tolist(), cells[idx].tolist()))
-    return terms
+    return _Lattice(base, shape, strides, pos[:live], neg[:live])
 
 
 def _expand_by_value(seq: OpSequence) -> dict:
@@ -264,13 +306,8 @@ def dominant_coefficient_pair(seq: OpSequence, m: int):
     bound = max(seq.bound, 2)
     if t < collision_depth_threshold(m, bound):
         return None
-    exp = compose_coefficients(seq)
-    best_pos = max((c for c in exp.terms if c > 0),
-                   key=lambda c: (exp.terms[c], -c))
-    best_neg = max((c for c in exp.terms if c < 0),
-                   key=lambda c: (exp.terms[c], c))
-    alpha, beta = best_pos, -best_neg
-    mult = min(exp.terms[best_pos], exp.terms[best_neg])
+    (alpha, n_pos), (beta, n_neg) = compose_coefficients(seq).most_repeated()
+    mult = min(n_pos, n_neg)
     floor_count = guaranteed_collision_count(t, bound)
     if not (mult >= floor_count >= m):
         raise AssertionError("collision guarantee violated: %s >= %s >= %s"
@@ -281,9 +318,24 @@ def dominant_coefficient_pair(seq: OpSequence, m: int):
 
 
 def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
-    """a*S - b*S, exactly."""
+    """a*S - b*S, exactly.
+
+    A fully periodic S = U + gZ (U a set of residues mod g) takes one
+    residue image:
+
+        aS - bS = (aU - bU) + G*Z,   G = g * gcd(a, b),
+
+    since a*g*Z - b*g*Z = G*Z.  With U read mod G, aU - bU mod G is
+    ``gamma_mod(U, a, -b)``; G past ``window_cap()`` raises
+    ``WindowCapExceeded`` before any G-bit mask is built.  Every other S
+    is the Minkowski sum of aS and -bS, which is refused when a dilated
+    operand or the sum needs a window or period past the cap.
+    """
     if s.is_empty():
         return s
+    if s.is_fully_periodic():
+        u = ResidueSet.of_periodic(s, s.period * math.gcd(op.a, op.b))
+        return gamma_mod(u, op.a, -op.b).to_epset()
     return s.dilate(op.a).minkowski(s.negate().dilate(op.b))
 
 

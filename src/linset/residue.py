@@ -9,6 +9,10 @@ Convention note: the decomposition places V in a1*G and X in b1*G with
 a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
 that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
+``ResidueSet.of_periodic``/``to_epset`` are the one conversion between a
+fully periodic EPSet U + gZ and its residues, and ``gamma_mod`` is the one
+residue-image kernel: ``linops.apply_linear_op`` maps such a set through
+both.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
                     _rotate, _spread)
-from .epset import EPSet, ResourceLimitExceeded, window_cap
+from .epset import EPSet, ResourceLimitExceeded, WindowCapExceeded, window_cap
 
 
 def totient(n: int) -> int:
@@ -95,6 +99,22 @@ class ResidueSet:
             raise ValueError("%d does not divide %d" % (d, modulus))
         return cls.from_mask(modulus, _periodic_fill(1, d, 0, modulus))
 
+    @classmethod
+    def of_periodic(cls, s: EPSet, modulus: int) -> "ResidueSet":
+        """Residues mod ``modulus`` of a fully periodic EPSet whose period
+        divides it.  A modulus past ``window_cap()`` is refused with
+        ``WindowCapExceeded`` before its mask is built, as EPSet refuses
+        such a period."""
+        if not s.is_fully_periodic() or modulus % s.period:
+            raise ValueError("need a fully periodic set whose period divides %d" % modulus)
+        if modulus > window_cap():
+            raise WindowCapExceeded(modulus, window_cap())
+        return cls.from_mask(modulus, _periodic_fill(s.pos_tail, s.period, 0, modulus))
+
+    def to_epset(self) -> EPSet:
+        """The fully periodic set U + gZ."""
+        return EPSet(self.modulus, 0, -1, 0, self.mask, self.mask)
+
     def translate(self, c: int) -> "ResidueSet":
         return ResidueSet.from_mask(self.modulus, _rotate(self.mask, c, self.modulus))
 
@@ -106,7 +126,8 @@ class ResidueSet:
 
 
 def gamma_mod(u: ResidueSet, a: int, b: int) -> ResidueSet:
-    """{a*x + b*y mod g : x, y in U}."""
+    """{a*x + b*y mod g : x, y in U}, for any integers a, b (b < 0 gives
+    aU - |b|U)."""
     g = u.modulus
     return ResidueSet.from_mask(g, _class_sum(_spread(u.mask, a, g),
                                               _spread(u.mask, b, g), g))

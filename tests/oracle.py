@@ -82,6 +82,31 @@ def gamma_bitmap(s, a, b, radius):
     return _convolve(da, -a * p, db, -b * p, radius)
 
 
+def periodic_gamma_bitmap(s, a, b, radius):
+    """Bitmap of {a*x - b*y : x, y in s} over [-radius, radius] for a set
+    with s + g = s, g = s.period (no window, one tail rule).
+
+    Every witness pair slides to (x + b*g*t, y + a*g*t) inside s without
+    changing a*x - b*y, so x ranges over [0, b*g); for a value in range,
+    y then lies in [(a*x - radius)/b, (a*x + radius)/b].
+    """
+    if s.lo <= s.hi or s.neg_tail != s.pos_tail:
+        raise ValueError("periodic_gamma_bitmap needs a fully periodic set")
+    g = s.period
+    ylo = -radius // b
+    yhi = -(-(a * (b * g - 1) + radius) // b)
+    da = 0
+    for x in range(b * g):
+        if member(s, x):
+            da |= 1 << (a * x)
+    db = 0
+    for y in range(ylo, yhi + 1):
+        if member(s, y):
+            db |= 1 << (b * (yhi - y))
+    # da bit a*x <-> value a*x; db bit b*(yhi - y) <-> value -b*y
+    return _convolve(da, 0, db, -b * yhi, radius)
+
+
 def dilate_bitmap(s, n, radius):
     out = 0
     for i, z in enumerate(range(-radius, radius + 1)):

@@ -309,3 +309,35 @@ def test_cli_stress_case_golden(argv, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STRESS_SHA256[argv[0]]
+
+
+def test_sweep_cell_carries_window_cap_to_spawned_workers():
+    # a spawned worker starts from a fresh import, at the default cap, so
+    # only the cap carried in the cell can make this cell hit it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from linset.cli import _sweep_cell
+    from linset.epset import DEFAULT_WINDOW_CAP, window_cap
+    cell = ("U({0,5,11},AP+(20,7,20))", "cyc[(3,1)]", 5, 10, 20000)
+    old = window_cap()
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
+        small = ex.submit(_sweep_cell, cell + (32,)).result(timeout=120)
+        default = ex.submit(_sweep_cell, cell + (DEFAULT_WINDOW_CAP,)).result(timeout=120)
+    assert (small["verdict"], small["resource_flag"]) == ("INCONCLUSIVE", "window-cap")
+    assert (default["verdict"], default["resource_flag"]) == ("PASS", None)
+    assert window_cap() == old
+
+
+def test_cli_residue_max_steps_default(monkeypatch):
+    import linset.cli as cli
+    seen = []
+    real = cli.residue_orbit
+
+    def spy(u, a, b, max_steps=None):
+        seen.append(max_steps)
+        return real(u, a, b, max_steps=max_steps)
+    monkeypatch.setattr(cli, "residue_orbit", spy)
+    assert run(["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3"]) == 0
+    assert seen == [20000]

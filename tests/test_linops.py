@@ -12,7 +12,7 @@ import oracle
 from conftest import epsets
 from linset import linops
 from linset.cli import random_ops
-from linset.epset import EPSet, set_window_cap, window_cap
+from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import (
     LinearOp,
     OpSequence,
@@ -22,6 +22,7 @@ from linset.linops import (
     dominant_coefficient_pair,
     guaranteed_collision_count,
 )
+from linset.residue import ResidueSet
 
 
 def test_apply_linear_op_examples():
@@ -223,3 +224,155 @@ def test_op_sequence_validation():
 def test_linear_op_matches_oracle(s, a, b):
     expected = oracle.gamma_bitmap(s, a, b, 200)
     assert oracle.agrees(apply_linear_op(LinearOp(a, b), s), expected, 200)
+
+
+# -- fully periodic inputs: one residue image instead of Minkowski pieces ----
+
+def _periodic(g, mask):
+    return EPSet(g, 0, -1, 0, mask, mask)
+
+
+@st.composite
+def periodic_sets(draw, max_period=300):
+    g = draw(st.integers(1, max_period))
+    kind = draw(st.sampled_from(("random", "random", "sparse", "empty", "Z")))
+    if kind == "random":
+        mask = draw(st.integers(0, (1 << g) - 1))
+    elif kind == "sparse":
+        mask = sum(1 << r for r in draw(st.sets(st.integers(0, g - 1), max_size=4)))
+    else:
+        mask = (1 << g) - 1 if kind == "Z" else 0
+    return _periodic(g, mask)
+
+
+@given(periodic_sets(), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_periodic_fast_path_matches_minkowski_and_oracle(s, a, b):
+    # a and b share a factor in about a third of draws, so G = g*gcd(a, b)
+    # exceeds the input period on those
+    fast = apply_linear_op(LinearOp(a, b), s)
+    assert fast == s.dilate(a).minkowski(s.negate().dilate(b))
+    # both sides have period dividing G, so one window of G points decides
+    radius = s.period * math.gcd(a, b)
+    expected = oracle.periodic_gamma_bitmap(s, a, b, radius)
+    assert oracle.agrees(fast, expected, radius)
+
+
+def test_periodic_fast_path_edges():
+    for a, b in ((1, 1), (2, 1), (3, 3), (4, 6), (9, 6)):
+        d = math.gcd(a, b)
+        assert apply_linear_op(LinearOp(a, b), EPSet.integers()) == EPSet.residue_class(0, d)
+        assert apply_linear_op(LinearOp(a, b), EPSet.empty()) == EPSet.empty()
+    # (2Z) under (2, 2): 4Z - 4Z = 4Z, a period G = 2 * gcd(2, 2)
+    assert apply_linear_op(LinearOp(2, 2), EPSet.residue_class(0, 2)) == \
+        EPSet.residue_class(0, 4)
+
+
+def test_periodic_input_never_reaches_minkowski(monkeypatch):
+    calls = []
+    real = EPSet.minkowski
+
+    def spy(self, other):
+        calls.append((self, other))
+        return real(self, other)
+    monkeypatch.setattr(EPSet, "minkowski", spy)
+    for s in (EPSet.residue_class(1, 7), _periodic(12, 0b100100010011),
+              EPSet.integers(), _periodic(300, (1 << 299) | 5)):
+        for a, b in ((3, 1), (2, 5), (6, 4)):
+            apply_linear_op(LinearOp(a, b), s)
+    assert calls == []
+    # a window, a one-sided tail and opposite tails with different rules
+    # keep the Minkowski path
+    others = (EPSet.from_iterable([0, 3]), EPSet.naturals(), EPSet.half_line(1, 3, 1),
+              EPSet.half_line_down(2, 5, 0), EPSet(4, 0, -1, 0, 0b0001, 0b0011))
+    for k, s in enumerate(others, 1):
+        assert not s.is_fully_periodic()
+        apply_linear_op(LinearOp(3, 1), s)
+        assert len(calls) == k
+
+
+def test_residue_set_periodic_round_trip():
+    for g, mask in ((1, 0), (1, 1), (7, 0b1010011), (12, 0b100100100100), (300, 1 << 299)):
+        s = _periodic(g, mask)
+        u = ResidueSet.of_periodic(s, s.period)
+        assert u.to_epset() == s
+        assert ResidueSet.of_periodic(u.to_epset(), u.modulus) == u
+        # read mod a multiple of the period: the residues lift, the set stays
+        lifted = ResidueSet.of_periodic(s, 3 * s.period)
+        assert lifted.modulus == 3 * s.period
+        assert set(lifted) == {x for x in range(3 * s.period) if x in s}
+        assert lifted.to_epset() == s
+    # a canonical EPSet has the minimal period, so mod 12 {0, 6} reads back mod 6
+    assert ResidueSet.from_mask(12, 0b1000001).to_epset() == EPSet.residue_class(0, 6)
+    with pytest.raises(ValueError):
+        ResidueSet.of_periodic(EPSet.naturals(), 1)
+    with pytest.raises(ValueError):
+        ResidueSet.of_periodic(EPSet.residue_class(0, 4), 6)
+
+
+def test_periodic_fast_path_cap():
+    # the answer's period G = 400 fits a cap of 1000 although 3 * 400 does
+    # not: the Minkowski path refused this input for its dilated operand
+    x = EPSet(400, 0, -1, 0, 0b11, 0b11)
+    old = window_cap()
+    try:
+        set_window_cap(1000)
+        got = apply_linear_op(LinearOp(3, 1), x)
+        assert got.to_expr() == "U(AP(0,400),AP(2,400),AP(3,400),AP(399,400))"
+        # G = 400 * gcd(3, 3) = 1200 does not fit
+        with pytest.raises(WindowCapExceeded) as err:
+            apply_linear_op(LinearOp(3, 3), x)
+        assert (err.value.requested, err.value.cap) == (1200, 1000)
+        # the conversion itself refuses, before it builds the 1200-bit mask
+        with pytest.raises(WindowCapExceeded):
+            ResidueSet.of_periodic(x, 1200)
+    finally:
+        set_window_cap(old)
+    assert got == x.dilate(3).minkowski(x.negate())
+    # 3{0,1} - 3{0,1} = {-3, 0, 3} mod 1200
+    m = 1 | 1 << 3 | 1 << 1197
+    assert apply_linear_op(LinearOp(3, 3), x) == EPSet(1200, 0, -1, 0, m, m)
+
+
+# -- most-repeated coefficients ------------------------------------------------
+
+def _two_max_rule(terms):
+    # the reference rule: most repeated of each sign, ties toward smaller |c|
+    best_pos = max((c for c in terms if c > 0), key=lambda c: (terms[c], -c))
+    best_neg = max((c for c in terms if c < 0), key=lambda c: (terms[c], c))
+    return (best_pos, terms[best_pos]), (-best_neg, terms[best_neg])
+
+
+def _has_tie(terms):
+    for sign in (1, -1):
+        counts = [n for c, n in terms.items() if c * sign > 0]
+        if counts.count(max(counts)) > 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("by_value", [False, True])
+def test_most_repeated_ties_match_two_max_rule(monkeypatch, by_value):
+    if by_value:
+        monkeypatch.setattr(linops, "_LATTICE_CELLS_PER_SPLIT", 0)
+    rng = random.Random(11)
+    seqs = [[(2, 1), (1, 2)], [(2, 3), (3, 2)], [(1, 1)], [(6, 1), (1, 6), (2, 3)]]
+    seqs += [[(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))]
+             for _ in range(300)]
+    ties = on_lattice = 0
+    for pairs in seqs:
+        exp = compose_coefficients(OpSequence(tuple(pairs)))
+        assert exp.most_repeated() == _two_max_rule(exp.terms), pairs
+        ties += _has_tie(exp.terms)
+        on_lattice += exp.lattice is not None
+    assert ties >= 50
+    assert on_lattice == 0 if by_value else on_lattice >= 50
+    # (2,1)(1,2): -4 and -1 both occur once, and -1 wins
+    exp = compose_coefficients(OpSequence(((2, 1), (1, 2))))
+    assert exp.most_repeated() == ((2, 2), (1, 1))
+
+
+def test_most_repeated_object_counts():
+    # 64 ops put 2^63 splittings of each sign on one cell (object dtype)
+    exp = compose_coefficients(OpSequence.repeat(1, 1, 64, bound=2))
+    assert exp.most_repeated() == ((1, 1 << 63), (1, 1 << 63))
