@@ -20,8 +20,8 @@ from .constructions import (
     sparse_interval_union,
     sqrt2_minus_one,
 )
-from .epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, set_window_cap,
-                    window_cap)
+from .epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
+                    set_window_cap, window_cap)
 from .linops import (
     CoefficientExpansion,
     LinearOp,
@@ -54,8 +54,8 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPSet", "ResourceLimitExceeded", "WindowCapExceeded", "set_window_cap",
-    "window_cap",
+    "EPSet", "InputError", "ResourceLimitExceeded", "WindowCapExceeded",
+    "set_window_cap", "window_cap",
     "LinearOp", "OpSequence", "CoefficientExpansion",
     "apply_linear_op", "apply_composition", "compose_coefficients",
     "dominant_coefficient_pair",

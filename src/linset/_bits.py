@@ -93,9 +93,13 @@ def _reflect(mask: int, width: int) -> int:
 def _spread(mask: int, n: int, m: int) -> int:
     # bit i of the input becomes bit (n * i) mod m: a plain spread when
     # n >= 1 and m exceeds n times the top bit, else the residue dilation
-    # mod m (any n, zero and negative ones included)
+    # mod m (any n, zero and negative ones included).  The string join
+    # serves only wide masks with many set bits; the loop is faster on
+    # sparse ones, whatever their width.
     top = mask.bit_length() - 1
-    if top >= _SMALL_BITS and 0 < n and n * top < m:
+    if n == 1 and top < m:
+        return mask
+    if top >= _SMALL_BITS and 0 < n and n * top < m and mask.bit_count() > _SPARSE_BITS:
         return int(("0" * (n - 1)).join(format(mask, "b")), 2)
     out = 0
     while mask:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import _fold_mod, _periodic_fill, _rotate
-from .epset import EPSet, ResourceLimitExceeded
+from .epset import EPSet, InputError, ResourceLimitExceeded
 from .linops import LinearOp, apply_linear_op
 
 
@@ -46,11 +46,11 @@ def freiman_doubling_check(xs):
     """
     xs = sorted(set(xs))
     if len(xs) < 2:
-        raise ValueError("need at least two elements")
+        raise InputError("need at least two elements")
     if xs[0] != 0 or any(x < 0 for x in xs):
-        raise ValueError("set must consist of nonnegative integers containing 0")
+        raise InputError("set must consist of nonnegative integers containing 0")
     if math.gcd(*xs) != 1:
-        raise ValueError("elements must have gcd 1")
+        raise InputError("elements must have gcd 1")
     sums = {x + y for x in xs for y in xs}
     lhs = len(sums)
     rhs = min(3 * len(xs) - 3, len(xs) + xs[-1])
@@ -75,7 +75,7 @@ def gap_bound_check(x: EPSet, a: int, b: int, within=None) -> GapReport:
     check still runs below the threshold and reports what it saw.
     """
     if not (a >= b >= 1):
-        raise ValueError("need a >= b >= 1")
+        raise InputError("need a >= b >= 1")
     dens = x.upper_density()
     threshold = Fraction(a, a + 1)
     fwd = apply_linear_op(LinearOp(a, b), x)
@@ -116,7 +116,7 @@ class DichotomyReport:
 
 def iterated_sumset(x: EPSet, k: int) -> EPSet:
     if k < 1:
-        raise ValueError("fold count must be >= 1")
+        raise InputError("fold count must be >= 1")
     out = x
     for _ in range(k - 1):
         out = out.minkowski(x)
@@ -127,9 +127,9 @@ def kneser_dichotomy(x: EPSet, k: int) -> DichotomyReport:
     """Either d(Xk) >= k*d(X), or a modulus g and a semi-periodic closure
     X' witness the structured branch; everything is verified exactly."""
     if x.neg_tail or (x.min_element() is not None and x.min_element() < 0):
-        raise ValueError("the dichotomy applies to sets of nonnegative integers")
+        raise InputError("the dichotomy applies to sets of nonnegative integers")
     if not x.pos_tail:
-        raise ValueError("positive lower density required")
+        raise InputError("positive lower density required")
     xk = iterated_sumset(x, k)
     d_x = x.upper_density()
     d_xk = xk.upper_density()
@@ -161,7 +161,7 @@ def dplus(a: EPSet) -> EPSet:
         return a
     mn = a.min_element()
     if mn is None or mn < 0:
-        raise ValueError("positive difference is defined for subsets of N")
+        raise InputError("positive difference is defined for subsets of N")
     return a.minkowski(a.negate()).restrict_nonnegative()
 
 
@@ -186,7 +186,7 @@ def stability_time_bounds(density: Fraction):
     """
     density = Fraction(density)
     if not 0 < density <= Fraction(1, 2):
-        raise ValueError("bounds apply for densities in (0, 1/2]; above, T <= 1")
+        raise InputError("bounds apply for densities in (0, 1/2]; above, T <= 1")
     inv = Fraction(1, 1) / density
     st = 2 * math.log2(inv)
     rz = 2 + math.log2(inv - 1)

@@ -2,15 +2,20 @@
 experiment dispatch, deterministic JSON/CSV/text reports.
 
 Exit codes: 0 complete/PASS, 1 verification FAIL, 2 resource-limited or
-inconclusive, 3 usage error.  The window cap honors the LINSET_WINDOW_CAP
-environment variable.  JSON is the format of record (schema field: 1);
-text output is rendered from the JSON dict.
+inconclusive (ResourceLimitExceeded), 3 usage error (bad arguments, and
+InputError, which the set-grammar errors derive from), 4 internal error
+(any other exception, reported as one "internal error:" line).  The
+window cap honors the LINSET_WINDOW_CAP environment variable.  JSON is
+the format of record (schema field: 1); text output is rendered from the
+JSON dict.  ``run`` reuses one argument parser per process, built on its
+first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,7 +28,7 @@ from fractions import Fraction
 from . import constructions
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import EPSet, ResourceLimitExceeded, set_window_cap, window_cap
+from .epset import EPSet, InputError, ResourceLimitExceeded, set_window_cap, window_cap
 from .linops import OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -36,13 +41,13 @@ from .stability import iterate_trace, verify_stabilization
 SCHEMA = 1
 
 
-class SetSyntaxError(ValueError):
+class SetSyntaxError(InputError):
     def __init__(self, message, pos):
         super().__init__("%s (at position %d)" % (message, pos))
         self.pos = pos
 
 
-class SetSemanticError(ValueError):
+class SetSemanticError(InputError):
     pass
 
 
@@ -183,7 +188,7 @@ def _parse_set(sc: _Scanner):
         sc.take(")")
         try:
             return constructions.bohr_truncation(alpha, delta, n)
-        except ValueError as e:
+        except InputError as e:
             raise SetSemanticError(str(e))
     if name == "sparse":
         sc.take("(")
@@ -197,7 +202,7 @@ def _parse_set(sc: _Scanner):
         sc.take(")")
         try:
             return constructions.sparse_interval_union(xs, delta, n)
-        except ValueError as e:
+        except InputError as e:
             raise SetSemanticError(str(e))
     raise SetSyntaxError("unknown set constructor '%s'" % name, sc.i)
 
@@ -350,6 +355,16 @@ def _emit(report, rows, header, fmt):
 # ---------------------------------------------------------------------------
 # commands
 
+def _fraction(text: str) -> Fraction:
+    """A fraction option such as ``--delta 1/6``; InputError when malformed."""
+    try:
+        return Fraction(text)
+    except ValueError as e:
+        raise InputError(str(e))
+    except ZeroDivisionError:
+        raise InputError("zero denominator in '%s'" % text)
+
+
 def cmd_iterate(args) -> tuple[str, int]:
     s = parse_set_expression(args.set)
     if isinstance(s, TruncatedSet):
@@ -489,7 +504,7 @@ def cmd_construct(args) -> tuple[str, int]:
         rows = [(p["k"], p["set"]) for p in report["predicted"]]
         return _emit(report, rows, ("k", "set"), args.format), 0
     if kind == "bohr":
-        t = constructions.bohr_truncation(Fraction(args.alpha), Fraction(args.delta), args.N)
+        t = constructions.bohr_truncation(_fraction(args.alpha), _fraction(args.delta), args.N)
         points = {max(1, args.N * i // 10) for i in range(1, 11)}
         profile = [(n, int(d * n), d) for n, d in density_profile(t.elems, points).profile]
         report = {
@@ -503,8 +518,8 @@ def cmd_construct(args) -> tuple[str, int]:
         rows = [(n, c, str(d)) for n, c, d in profile]
         return _emit(report, rows, ("n", "count", "density"), args.format), 0
     if kind == "sparse":
-        xs = [Fraction(x) for x in args.xs.split(",")]
-        t = constructions.sparse_interval_union(xs, Fraction(args.delta), args.N)
+        xs = [_fraction(x) for x in args.xs.split(",")]
+        t = constructions.sparse_interval_union(xs, _fraction(args.delta), args.N)
         report = {
             "schema": SCHEMA, "command": "construct", "kind": "sparse",
             "delta": args.delta, "n": args.N, "count": len(t),
@@ -513,6 +528,8 @@ def cmd_construct(args) -> tuple[str, int]:
         rows = [(x,) for x in t.elems]
         return _emit(report, rows, ("element",), args.format), 0
     if kind == "parity":
+        if args.bits.strip("01"):
+            raise InputError("bits must be 0 or 1")
         fx = constructions.parity_flip_sequence([int(c) for c in args.bits])
         report = {
             "schema": SCHEMA, "command": "construct", "kind": "parity",
@@ -678,23 +695,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import.  One parser serves every run()
+    # call: parse_args fills a fresh Namespace each time and reads the
+    # parser's defaults without changing them.
+    return build_parser()
+
+
 def run(argv) -> int:
-    ap = build_parser()
+    """Run one command; returns its exit code (see the module docstring)."""
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         out, code = args.func(args)
     except UsageError as e:
         sys.stderr.write("usage error: %s\n" % e)
         return 3
-    except (SetSyntaxError, SetSemanticError, ValueError) as e:
+    except InputError as e:
         sys.stderr.write("error: %s\n" % e)
         return 3
     except ResourceLimitExceeded as e:
         sys.stderr.write("resource limit: %s\n" % e)
         return 2
+    except Exception as e:
+        # a fault of the program, not of its input: neither FAIL nor usage
+        sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 4
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as e:
+            sys.stderr.write("error: cannot write --out: %s\n" % e)
+            return 3
     else:
         sys.stdout.write(out)
     return code

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import _bits, _from_offsets, convolve_or
-from .epset import EPSet, WindowCapExceeded, window_cap
+from .epset import EPSet, InputError, WindowCapExceeded, window_cap
 from .linops import LinearOp, OpSequence, apply_linear_op
 from .residue import multiplicative_order
 
@@ -25,7 +25,7 @@ class TruncatedSet:
 
     def __post_init__(self):
         if any(x < 0 or x > self.horizon for x in self.elems):
-            raise ValueError("elements must lie within [0, horizon]")
+            raise InputError("elements must lie within [0, horizon]")
 
     def __len__(self):
         return len(self.elems)
@@ -47,7 +47,7 @@ class TruncatedSet:
 def finite_gamma(elems, a: int, b: int):
     """{a*x - b*y} over a finite set, by explicit convolution; a, b >= 0."""
     if a < 0 or b < 0:
-        raise ValueError("finite_gamma needs nonnegative coefficients")
+        raise InputError("finite_gamma needs nonnegative coefficients")
     elems = sorted(set(elems))
     if not elems:
         return []
@@ -89,9 +89,9 @@ class ProgressionOrbit:
 
 def ap_counterexample(a: int, b: int) -> ProgressionOrbit:
     if math.gcd(a, b) != 1:
-        raise ValueError("coefficients must be coprime")
+        raise InputError("coefficients must be coprime")
     if not a > b >= 1:
-        raise ValueError("need a > b >= 1")
+        raise InputError("need a > b >= 1")
     ab = a * b
     start = EPSet.half_line(1 % ab, ab, 1)
     return ProgressionOrbit(
@@ -115,9 +115,9 @@ def scaled_divergence(d: int, a1: int, b1: int, steps: int = 5) -> DivergenceRep
     and the smallest nonzero magnitude grows without bound, so the orbit
     never settles.  (0 itself persists: it maps to a*0 - b*0.)"""
     if d < 2:
-        raise ValueError("the common factor d must be at least 2")
+        raise InputError("the common factor d must be at least 2")
     if math.gcd(a1, b1) != 1:
-        raise ValueError("reduced coefficients must be coprime")
+        raise InputError("reduced coefficients must be coprime")
     op = LinearOp(d * a1, d * b1)
     cur = EPSet.naturals()
     iterates = [cur]
@@ -158,9 +158,9 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
     alpha = Fraction(alpha)
     delta = Fraction(delta)
     if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+        raise InputError("delta must lie in (0, 1]")
     if alpha.denominator <= 4 * n:
-        raise ValueError(
+        raise InputError(
             "surrogate denominator %d is too coarse for horizon %d"
             % (alpha.denominator, n))
     q = alpha.denominator
@@ -180,10 +180,10 @@ def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
     """Integers inside the open intervals (x_i, x_i * (1 + delta)), up to n."""
     delta = Fraction(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InputError("delta must be positive")
     xs = [Fraction(x) for x in xs]
     if any(x <= 0 for x in xs) or any(y <= x for x, y in zip(xs, xs[1:])):
-        raise ValueError("interval anchors must be positive and increasing")
+        raise InputError("interval anchors must be positive and increasing")
     elems = set()
     for x in xs:
         left = x
@@ -228,7 +228,7 @@ def parity_flip_sequence(bits) -> ParityFixture:
     """
     bits = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
+        raise InputError("bits must be 0 or 1")
     seq = OpSequence(tuple((2, 1) if b == 0 else (3, 1) for b in bits))
     base = EPSet.residue_class(1, 3)
     flipped = EPSet.residue_class(2, 3)

@@ -25,6 +25,13 @@ DEFAULT_WINDOW_CAP = 1 << 20
 _window_cap = int(os.environ.get("LINSET_WINDOW_CAP", DEFAULT_WINDOW_CAP))
 
 
+class InputError(ValueError):
+    """A caller-supplied argument failed validation: a malformed or
+    out-of-domain value, not a fault of the computation.  The CLI reports
+    it, the parse errors included, with exit code 3.  Checks of EPSet's
+    representation invariants stay plain ``ValueError``."""
+
+
 class ResourceLimitExceeded(RuntimeError):
     """A window, step or iteration budget ran out before the result was
     found.  The CLI reports it, subclasses included, with exit code 2."""
@@ -52,7 +59,7 @@ def window_cap() -> int:
 def set_window_cap(cap: int) -> None:
     global _window_cap
     if cap <= 0:
-        raise ValueError("window cap must be positive")
+        raise InputError("window cap must be positive")
     _window_cap = cap
 
 
@@ -168,7 +175,7 @@ class EPSet:
     def residue_class(cls, r: int, g: int) -> "EPSet":
         """The full two-sided progression r + gZ."""
         if g < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         bit = 1 << (r % g)
         return cls(g, 0, -1, 0, bit, bit)
 
@@ -176,14 +183,14 @@ class EPSet:
     def half_line(cls, r: int, g: int, start: int) -> "EPSet":
         """{x : x = r mod g, x >= start}."""
         if g < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         return cls(g, start, start - 1, 0, 0, 1 << (r % g))
 
     @classmethod
     def half_line_down(cls, r: int, g: int, end: int) -> "EPSet":
         """{x : x = r mod g, x <= end}."""
         if g < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         return cls(g, end + 1, end, 0, 1 << (r % g), 0)
 
     # -- basic queries -------------------------------------------------------
@@ -302,7 +309,7 @@ class EPSet:
     def dilate(self, n: int) -> "EPSet":
         """{n * x : x in S}.  n == 0 is rejected, not collapsed to {0}."""
         if n == 0:
-            raise ValueError("dilation by 0 is not defined for this algebra")
+            raise InputError("dilation by 0 is not defined for this algebra")
         if n < 0:
             return self.negate().dilate(-n)
         if n == 1:
@@ -414,7 +421,7 @@ class EPSet:
                 return 0
             return max(y - x for x, y in zip(elems, elems[1:]))
         if self.is_empty():
-            raise ValueError("max_gap of the empty set is undefined")
+            raise InputError("max_gap of the empty set is undefined")
         if not self.pos_tail:
             return math.inf
         g = self.period

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epset import EPSet, window_cap
+from .epset import EPSet, InputError, window_cap
 from .residue import ResidueSet, gamma_mod
 
 
@@ -21,7 +21,7 @@ class LinearOp:
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
-            raise ValueError("coefficients must be positive integers")
+            raise InputError("coefficients must be positive integers")
 
     @property
     def coprime(self) -> bool:
@@ -50,7 +50,7 @@ class OpSequence:
         if self.bound == 0:
             object.__setattr__(self, "bound", top)
         elif self.bound < top:
-            raise ValueError("bound %d is below a coefficient in the sequence" % self.bound)
+            raise InputError("bound %d is below a coefficient in the sequence" % self.bound)
 
     def __len__(self):
         return len(self.ops)
@@ -196,7 +196,7 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     those inputs aggregate value by value in a dict instead.
     """
     if len(seq) == 0:
-        raise ValueError("composition of zero operations has no expansion")
+        raise InputError("composition of zero operations has no expansion")
     base = _coprime_base({c for op in seq for c in (op.a, op.b) if c > 1})
     exps = [(_exponents(op.a, base), _exponents(op.b, base)) for op in seq]
     shape = tuple(sum(max(ea[j], eb[j]) for ea, eb in exps) + 1 for j in range(len(base)))

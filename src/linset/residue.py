@@ -24,7 +24,8 @@ import numpy as np
 
 from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
                     _rotate, _spread)
-from .epset import EPSet, ResourceLimitExceeded, WindowCapExceeded, window_cap
+from .epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
+                    window_cap)
 
 
 def totient(n: int) -> int:
@@ -46,7 +47,7 @@ def multiplicative_order(x: int, n: int) -> int:
     if n == 1:
         return 1
     if math.gcd(x, n) != 1:
-        raise ValueError("order undefined: %d not invertible mod %d" % (x, n))
+        raise InputError("order undefined: %d not invertible mod %d" % (x, n))
     k, acc = 1, x % n
     while acc != 1:
         acc = acc * x % n
@@ -63,7 +64,7 @@ class ResidueSet:
 
     def __init__(self, modulus, elems):
         if modulus < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         mask = 0
         for x in elems:
             mask |= 1 << (x % modulus)
@@ -83,10 +84,15 @@ class ResidueSet:
     def __iter__(self):
         return _bits(self.mask)
 
+    def __hash__(self):
+        # hash(int) is the int mod 2^61 - 1, so the one-bit masks 1 << k
+        # alone would share 61 values; their top bit tells them apart
+        return hash((self.modulus, self.mask, self.mask.bit_length()))
+
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "ResidueSet":
         if modulus < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         u = object.__new__(cls)
         object.__setattr__(u, "modulus", modulus)
         object.__setattr__(u, "mask", mask & ((1 << modulus) - 1))
@@ -96,7 +102,7 @@ class ResidueSet:
     def subgroup(cls, modulus: int, d: int) -> "ResidueSet":
         """The subgroup d*G = {0, d, 2d, ...}; d must divide the modulus."""
         if modulus % d:
-            raise ValueError("%d does not divide %d" % (d, modulus))
+            raise InputError("%d does not divide %d" % (d, modulus))
         return cls.from_mask(modulus, _periodic_fill(1, d, 0, modulus))
 
     @classmethod
@@ -106,7 +112,7 @@ class ResidueSet:
         ``WindowCapExceeded`` before its mask is built, as EPSet refuses
         such a period."""
         if not s.is_fully_periodic() or modulus % s.period:
-            raise ValueError("need a fully periodic set whose period divides %d" % modulus)
+            raise InputError("need a fully periodic set whose period divides %d" % modulus)
         if modulus > window_cap():
             raise WindowCapExceeded(modulus, window_cap())
         return cls.from_mask(modulus, _periodic_fill(s.pos_tail, s.period, 0, modulus))
@@ -136,7 +142,7 @@ def gamma_mod(u: ResidueSet, a: int, b: int) -> ResidueSet:
 def period_shift(u: ResidueSet) -> int:
     """Smallest positive d (a divisor of g) with U + d = U."""
     if not u.mask:
-        raise ValueError("period of the empty residue set is undefined")
+        raise InputError("period of the empty residue set is undefined")
     return _min_period(u.modulus, u.mask)
 
 
@@ -148,7 +154,7 @@ def period(u: ResidueSet) -> ResidueSet:
 def cardinality_check(u: ResidueSet, a: int, b: int):
     """(|U|, |aU + bU|, |aU+bU| >= |U|); requires gcd(a, b) = 1."""
     if math.gcd(a, b) != 1:
-        raise ValueError("coefficients must be coprime")
+        raise InputError("coefficients must be coprime")
     image = gamma_mod(u, a, b)
     return len(u), len(image), len(image) >= len(u)
 
@@ -299,7 +305,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     that check's outcome is recorded (None when no member qualifies).
     """
     if math.gcd(a, b) != 1:
-        raise ValueError("coefficients must be coprime")
+        raise InputError("coefficients must be coprime")
     states = [u]
     seen = {u: 0}
     cur = u
@@ -307,13 +313,12 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     while True:
         cur = gamma_mod(cur, a, b)
         steps += 1
-        if cur in seen:
-            onset = seen[cur]
+        onset = seen.setdefault(cur, len(states))    # one hash per step
+        if onset < len(states):
             length = len(states) - onset
             break
         if max_steps is not None and steps >= max_steps:
             raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
-        seen[cur] = len(states)
         states.append(cur)
 
     cycle = states[onset:]
@@ -341,7 +346,7 @@ class AbsorptionReport:
 def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionReport:
     """For 0 in X aperiodic with aX + bX = aX: X sits in (g/gcd(g,b))*G."""
     if math.gcd(a, b) != 1:
-        raise ValueError("coefficients must be coprime")
+        raise InputError("coefficients must be coprime")
     g = x.modulus
     if not (x.mask & 1):
         return AbsorptionReport(False, "0 not a member", None, None)
@@ -370,7 +375,7 @@ def difference_fully_periodic_check(a_set: EPSet, g: int, b_set: EPSet,
     ok_a = a_set.translate(g).subset_of(a_set)
     ok_b = b_set.translate(g2).subset_of(b_set)
     if not (ok_a and ok_b):
-        raise ValueError("inputs must be semi-periodic for the stated moduli")
+        raise InputError("inputs must be semi-periodic for the stated moduli")
     d = math.gcd(g, g2)
     diff = a_set.minkowski(b_set.negate())
     fully = diff == diff.translate(d)
@@ -455,12 +460,12 @@ def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
     when 2^g exceeds ``window_cap()``.  Otherwise ``masks`` is an integer
     array of subsets in [0, 2^g), imaged mask by mask.  Masks are uint32
     for g <= 32 and uint64 up to g = 64; g outside 1..64 and masks outside
-    [0, 2^g) raise ``ValueError``.  Returns (all_hold, equality_masks):
+    [0, 2^g) raise ``InputError``.  Returns (all_hold, equality_masks):
     equality_masks lists the subsets (as ints) where |aU + bU| == |U|
     with U nonempty.
     """
     if not 1 <= g <= 64:
-        raise ValueError("sweep modulus must be in 1..64, got %d" % g)
+        raise InputError("sweep modulus must be in 1..64, got %d" % g)
     if masks is None:
         if (1 << g) > window_cap():
             raise ResourceLimitExceeded("sweep over 2^%d subsets exceeds the cap %d"
@@ -469,9 +474,9 @@ def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
         masks = np.arange(1 << g, dtype=images.dtype)
     else:
         if masks.dtype.kind not in "iu":
-            raise ValueError("masks must be an integer array")
+            raise InputError("masks must be an integer array")
         if masks.size and (int(masks.min()) < 0 or int(masks.max()) >> g):
-            raise ValueError("masks must lie in [0, 2^%d)" % g)
+            raise InputError("masks must lie in [0, 2^%d)" % g)
         masks = masks.astype(_mask_dtype(g))
         images = _image_masks(masks, g, a, b)
     pc_u = _popcounts(masks)

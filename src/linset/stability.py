@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .epset import EPSet, WindowCapExceeded
+from .epset import EPSet, InputError, WindowCapExceeded
 from .linops import OpSequence, apply_linear_op
 
 
@@ -168,17 +168,17 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
     """
     dens = a.upper_density()
     if dens <= 0:
-        raise ValueError("the input set must have positive upper density")
+        raise InputError("the input set must have positive upper density")
     el = max((max(op.a, op.b) for op in seq), default=2)
     L = bound if bound is not None else max(seq.bound, 2)
     if L < 2:
-        raise ValueError("the coefficient bound L must be at least 2")
+        raise InputError("the coefficient bound L must be at least 2")
     if el > L:
-        raise ValueError("sequence coefficients exceed the declared bound")
+        raise InputError("sequence coefficients exceed the declared bound")
     if not seq.all_coprime():
-        raise ValueError("every operation must have coprime coefficients")
+        raise InputError("every operation must have coprime coefficients")
     if c < 1:
-        raise ValueError("the constant c must be a positive integer")
+        raise InputError("the constant c must be a positive integer")
 
     beta = 1 / dens
     K = c * L + _floor_log2(beta ** c)

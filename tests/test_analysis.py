@@ -49,31 +49,41 @@ def test_freiman_exhaustive_small():
 
 
 def test_freiman_exhaustive_to_24_vectorized():
-    # all 2^24 subsets of [0, 24] containing 0; sumset sizes, maxima and
-    # gcds are computed bit-parallel over uint64 mask arrays
+    # all 2^24 subsets of [0, 24] containing 0.  Sumsets come from the
+    # doubling identity (X | {e}) + (X | {e}) = (X+X) | (X << e) | {2e}:
+    # a table over the subsets of [0, 21], then one chunk per subset of
+    # the top elements {22, 23, 24} on top of it
     import numpy as np
 
     top = 24
-    chunk_bits = 21
+    low_top = 21
+    n = 1 << low_top
     one = np.uint64(1)
+    masks = np.arange(n, dtype=np.uint64) * np.uint64(2) + one
+    sums = np.empty(n, dtype=np.uint64)
+    sums[0] = one
+    me = np.zeros(n, dtype=np.uint8)
+    g = np.zeros(n, dtype=np.uint8)
+    for e in range(1, low_top + 1):
+        lo, hi = 1 << (e - 1), 1 << e
+        # the subsets with largest element e are those below, plus e
+        sums[lo:hi] = sums[:lo] | (masks[:lo] << np.uint64(e)) | (one << np.uint64(2 * e))
+        me[lo:hi] = e
+        g[lo:hi] = np.gcd(g[:lo], np.uint8(e))
+    pc_low = np.bitwise_count(masks).astype(np.int64)
     checked = 0
-    for chunk in range(1 << (top - chunk_bits)):
-        base = np.arange(1 << chunk_bits, dtype=np.uint64)
-        masks = ((np.uint64(chunk) << np.uint64(chunk_bits)) + base) * np.uint64(2) + one
-        s = np.zeros_like(masks)
-        me = np.zeros(masks.shape, dtype=np.uint64)
-        g = np.zeros(masks.shape, dtype=np.uint64)
-        for x in range(top + 1):
-            sel = (masks >> np.uint64(x)) & one
-            s |= (masks << np.uint64(x)) * sel
-            if x >= 1:
-                hit = sel.astype(bool)
-                me = np.where(hit, np.uint64(x), me)
-                g = np.where(hit, np.gcd(g, np.uint64(x)), g)
-        pc = np.bitwise_count(masks).astype(np.int64)
+    for chunk in range(1 << (top - low_top)):
+        high = [low_top + 1 + j for j in range(top - low_top) if chunk >> j & 1]
+        s, x = sums, masks
+        for e in high:
+            s = s | (x << np.uint64(e)) | (one << np.uint64(2 * e))
+            x = x | (one << np.uint64(e))
+        pc = pc_low + len(high)
+        mx = high[-1] if high else me.astype(np.int64)
+        gx = np.gcd(g, np.uint8(np.gcd.reduce(high))) if high else g
         pcs = np.bitwise_count(s).astype(np.int64)
-        rhs = np.minimum(3 * pc - 3, pc + me.astype(np.int64))
-        admissible = (pc >= 2) & (g == 1)
+        rhs = np.minimum(3 * pc - 3, pc + mx)
+        admissible = (pc >= 2) & (gx == 1)
         assert np.all(pcs[admissible] >= rhs[admissible])
         checked += int(admissible.sum())
     assert checked == 16_772_858

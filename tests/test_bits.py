@@ -192,7 +192,8 @@ def test_convolve_guard_falls_back_to_shift_or(monkeypatch):
 @pytest.mark.parametrize("width", [1, 2, 255, 256, 257, 5000])
 def test_linear_helpers_match_loops(width):
     rng = random.Random(width)
-    sparse = [with_popcount(rng, width, min(k, width)) for k in (1, 3)]
+    sparse = [with_popcount(rng, width, min(k, width))
+              for k in (1, 3, _SPARSE_BITS, _SPARSE_BITS + 1)]
     for m in sparse + [random_mask(rng, width, d) for d in (0.03, 0.5, 1.0)]:
         bits = ref_bits(m)
         assert list(_bits(m)) == bits
@@ -203,7 +204,8 @@ def test_linear_helpers_match_loops(width):
         for n in (1, 2, 5):
             assert _spread(m, n, n * width) == sum(1 << (n * i) for i in bits)
         for n in (0, -1, -3, 1, 2, 5):
-            for mod in (width, 2 * width + 1, 3 * width + 7):
+            # width // 3 + 1: the top bit wraps, for n = 1 too
+            for mod in (width // 3 + 1, width, 2 * width + 1, 3 * width + 7):
                 assert _spread(m, n, mod) == _from_offsets({n * i % mod for i in bits}, mod)
 
 

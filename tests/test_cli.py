@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import random_epset
+import linset.cli as cli
 from linset.cli import (
     SetSemanticError,
     SetSyntaxError,
@@ -341,3 +342,114 @@ def test_cli_residue_max_steps_default(monkeypatch):
     monkeypatch.setattr(cli, "residue_orbit", spy)
     assert run(["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3"]) == 0
     assert seen == [20000]
+
+
+# -- one parser per process, and the exit code of each failure mode -------------
+
+def mixed_sequence(out_path):
+    # every subcommand and format, an --out call, a usage, a syntax and a
+    # resource-limit error; each --g, --out or --format is followed by a
+    # call without it, so a value carried over would change that call
+    return [
+        ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--g", "12",
+         "--format", "csv"],
+        ["residue", "--set", "mod 10 {0,1}", "--a", "3", "--b", "1"],
+        ["decompose", "--set", "mod 12 {0,3,4,6,7,10}", "--a", "4", "--b", "3",
+         "--g", "12", "--out", out_path],
+        ["decompose", "--set", "mod 6 {0,1,2}", "--a", "5", "--b", "1", "--format", "text"],
+        ["iterate", "--set", "AP+(1,3,1)", "--ops", "(3,1)^4", "--format", "text"],
+        ["iterate", "--set", "Z", "--ops", "(2,1)"],
+        ["dplus", "--set", "AP+(1,2,1)", "--format", "csv"],
+        ["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]", "--L", "3"],
+        ["construct", "--kind", "parity", "--bits", "101", "--format", "csv"],
+        ["construct", "--kind", "ap"],
+        ["sweep", "--sets", "AP+(1,3,1)", "--ops-list", "cyc[(3,1)];rand(4,3)", "--L", "3",
+         "--format", "text"],
+        ["nonsense"],
+        ["iterate", "--set", "AP(1,", "--ops", "(2,1)"],
+        ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--max-steps", "1"],
+        ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3"],
+    ]
+
+
+def run_sequence(sequence, out_file, capsys):
+    outcomes = []
+    for argv in sequence:
+        code = run(argv)
+        captured = capsys.readouterr()
+        written = out_file.read_text() if out_file.exists() else None
+        if written is not None:
+            out_file.unlink()
+        outcomes.append((code, captured.out, captured.err, written))
+    return outcomes
+
+
+def test_cli_one_parser_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "report.json"
+    sequence = mixed_sequence(str(out_file))
+    builds = []
+    build = cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    reused = run_sequence(sequence, out_file, capsys)
+    assert len(builds) == 1
+    # the same calls, each against a parser built for it alone
+    monkeypatch.setattr(cli, "_parser", build)
+    fresh = run_sequence(sequence, out_file, capsys)
+    assert reused == fresh
+    assert [o[0] for o in reused] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 3, 2, 0]
+    assert reused[2][1] == "" and reused[2][3].startswith("{")
+    assert all(o[1] for i, o in enumerate(reused) if o[0] in (0, 1) and i != 2)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def raise_from_orbit(exc):
+    def orbit(*args, **kwargs):
+        raise exc
+    return orbit
+
+
+FAILURE_MODES = [
+    ("usage", ["nonsense"], None, 3, "usage error: argument command: invalid choice"),
+    ("input", ["residue", "--set", "mod 12 {0,3,4}", "--a", "2", "--b", "4"], None,
+     3, "error: coefficients must be coprime"),
+    ("syntax", ["iterate", "--set", "AP(1,", "--ops", "(2,1)"], None,
+     3, "error: expected an integer (at position 5)"),
+    ("construct-fraction", ["construct", "--kind", "bohr", "--alpha", "1/0"], None,
+     3, "error: zero denominator in '1/0'"),
+    ("resource", ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3",
+                  "--max-steps", "1"], None,
+     2, "resource limit: orbit did not close within 1 steps"),
+    ("internal-keyerror", ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3"],
+     KeyError("boom"), 4, "internal error: KeyError: 'boom'"),
+    ("internal-valueerror", ["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3"],
+     ValueError("not an input error"), 4, "internal error: ValueError: not an input error"),
+]
+
+
+@pytest.mark.parametrize("argv,exc,code,line", [m[1:] for m in FAILURE_MODES],
+                         ids=[m[0] for m in FAILURE_MODES])
+def test_cli_failure_modes(argv, exc, code, line, capsys, monkeypatch):
+    if exc is not None:
+        monkeypatch.setattr(cli, "residue_orbit", raise_from_orbit(exc))
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(line)
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert run(["dplus", "--set", "N", "--out", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write --out: ")

@@ -158,6 +158,14 @@ def test_orbit_singleton_cycles_are_not_misjudged():
     assert orb.order_divisibility is None
 
 
+def test_one_bit_masks_hash_apart():
+    # hash(int) is the int mod 2^61 - 1, so the masks 1 << k alone take 61
+    # values; residue_orbit keys its seen dict by the states, and the
+    # one-element states of a large modulus must not collide there
+    g = 20023
+    assert len({hash(ResidueSet.from_mask(g, 1 << k)) for k in range(g)}) == g
+
+
 def test_absorption_examples():
     g = 6
     ok = 0
