@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import _fold_mod, _periodic_fill, _rotate
+from ._orbit import orbit
 from .epset import EPSet, InputError, ResourceLimitExceeded
 from .linops import LinearOp, apply_linear_op
 
@@ -168,14 +169,12 @@ def dplus(a: EPSet) -> EPSet:
 def stability_time(a: EPSet, max_k: int = 128):
     """(T, iterates): least T with D+_{T+1}(A) = D+_T(A), found exactly."""
     its = [a]
-    cur = a
-    for k in range(max_k):
-        nxt = dplus(cur)
-        if nxt == cur:
-            return k, its
-        its.append(nxt)
-        cur = nxt
-    raise ResourceLimitExceeded("no fixed point within %d positive-difference steps" % max_k)
+    # from D+_1 on the iterates increase, so the first repeat is a fixed point
+    closure = orbit(lambda k, x: dplus(x), its, max_k)
+    if closure is None:
+        raise ResourceLimitExceeded(
+            "no fixed point within %d positive-difference steps" % max_k)
+    return closure[0], its
 
 
 def stability_time_bounds(density: Fraction):

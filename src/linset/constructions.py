@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import _bits, _from_offsets, convolve_or
+from ._orbit import orbit
 from .epset import EPSet, InputError, WindowCapExceeded, window_cap
 from .linops import LinearOp, OpSequence, apply_linear_op
 from .residue import multiplicative_order
@@ -119,20 +120,16 @@ def scaled_divergence(d: int, a1: int, b1: int, steps: int = 5) -> DivergenceRep
     if math.gcd(a1, b1) != 1:
         raise InputError("reduced coefficients must be coprime")
     op = LinearOp(d * a1, d * b1)
-    cur = EPSet.naturals()
-    iterates = [cur]
-    divisible = [True]
-    min_nonzero = [1]
-    for _ in range(steps):
-        cur = apply_linear_op(op, cur)
-        iterates.append(cur)
-        k = len(iterates) - 1
-        divisible.append(cur.subset_of(EPSet.residue_class(0, d ** k)))
-        span = cur.period * 2 + 2
-        nz = [abs(v) for v in cur.elements_in(-span, span) if v != 0]
-        min_nonzero.append(min(nz) if nz else None)
-    distinct = len(set(iterates)) == len(iterates)
-    return DivergenceReport(d, iterates, divisible, min_nonzero, distinct)
+    iterates = [EPSet.naturals()]
+    closure = orbit(lambda k, x: apply_linear_op(op, x), iterates, steps)
+    divisible = [x.subset_of(EPSet.residue_class(0, d ** k))
+                 for k, x in enumerate(iterates)]
+    min_nonzero = []
+    for x in iterates:
+        span = x.period * 2 + 2
+        min_nonzero.append(min((abs(v) for v in x.elements_in(-span, span) if v != 0),
+                               default=None))
+    return DivergenceReport(d, iterates, divisible, min_nonzero, closure is None)
 
 
 def sqrt2_minus_one(min_denominator: int) -> Fraction:
@@ -157,6 +154,8 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
     """
     alpha = Fraction(alpha)
     delta = Fraction(delta)
+    if n < 1:
+        raise InputError("the horizon n must be at least 1")
     if not 0 < delta <= 1:
         raise InputError("delta must lie in (0, 1]")
     if alpha.denominator <= 4 * n:
@@ -179,6 +178,8 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
 def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
     """Integers inside the open intervals (x_i, x_i * (1 + delta)), up to n."""
     delta = Fraction(delta)
+    if n < 1:
+        raise InputError("the horizon n must be at least 1")
     if delta <= 0:
         raise InputError("delta must be positive")
     xs = [Fraction(x) for x in xs]

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
                     _rotate, _spread)
+from ._orbit import orbit
 from .epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
                     window_cap)
 
@@ -307,23 +308,13 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     if math.gcd(a, b) != 1:
         raise InputError("coefficients must be coprime")
     states = [u]
-    seen = {u: 0}
-    cur = u
-    steps = 0
-    while True:
-        cur = gamma_mod(cur, a, b)
-        steps += 1
-        onset = seen.setdefault(cur, len(states))    # one hash per step
-        if onset < len(states):
-            length = len(states) - onset
-            break
-        if max_steps is not None and steps >= max_steps:
-            raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
-        states.append(cur)
-
+    closure = orbit(lambda k, x: gamma_mod(x, a, b), states, max_steps)
+    if closure is None:
+        raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
+    onset, length = closure
     cycle = states[onset:]
-    preserved = all(len(s) == len(cycle[0]) for s in cycle) and \
-        len(gamma_mod(cycle[0], a, b)) == len(cycle[0])
+    size = len(cycle[0])
+    preserved = all(len(s) == size for s in cycle) and len(gamma_mod(cycle[0], a, b)) == size
     divisibility = None
     g = u.modulus
     for s in cycle:

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._orbit import orbit
 from .epset import EPSet, InputError, WindowCapExceeded
 from .linops import OpSequence, apply_linear_op
 
@@ -34,47 +35,29 @@ class IterationTrace:
 
 def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace:
     iterates = [s]
-    p = len(seq) if seq.cyclic and len(seq) else None
-    first_seen = {s: 0}
-    seen_states = {(s, 0): 0} if p else None
-    cycle = None
-    closed = False
-    closure = None
+    key = closes = None
+    if seq.cyclic and not seq.constant_from(0):
+        # varying cyclic ops repeat their dynamics on (set, phase) repeats
+        p = len(seq)
+        key = lambda k, x: (x, k % p)
+    else:
+        closes = seq.constant_from
     resource = None
-    horizon = max_k if seq.cyclic else min(max_k, len(seq))
-    k = 0
-    while k < horizon:
-        try:
-            nxt = apply_linear_op(seq.op_at(k), iterates[-1])
-        except WindowCapExceeded:
-            resource = "window-cap"
-            break
-        k += 1
-        iterates.append(nxt)
-        if nxt in first_seen:
-            i = first_seen[nxt]
-            if cycle is None and seq.constant_from(i):
-                cycle = (i, k - i)
-                closed = True
-                closure = (i, k - i)
-                break
-        else:
-            first_seen[nxt] = k
-        if p is not None:
-            state = (nxt, k % p)
-            if state in seen_states:
-                closed = True
-                closure = (seen_states[state], k - seen_states[state])
-                break
-            seen_states[state] = k
+    try:
+        closure = orbit(lambda k, x: apply_linear_op(seq.op_at(k), x), iterates,
+                        max_k if seq.cyclic else min(max_k, len(seq)), key, closes)
+    except WindowCapExceeded:
+        closure, resource = None, "window-cap"
+    if closure:
+        iterates.append(iterates[closure[0]])
 
     trace = IterationTrace(
         iterates=iterates,
         distinct_count=len(set(iterates)),
-        cycle=cycle,
+        cycle=None if key else closure,
         periodicity_onset=None,
         resource_flag=resource,
-        closed=closed,
+        closed=closure is not None,
         closure=closure,
     )
     trace.periodicity_onset = full_periodicity_onset(trace)
@@ -187,40 +170,23 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
     trace = iterate_trace(a, seq, max_k=max_steps)
     its = trace.iterates
     observed_k0, observed_g = trace.periodicity_onset or (None, None)
-
-    if trace.resource_flag:
-        return StabilizationReport(beta, K, L, c, g_bound, observed_k0,
-                                   observed_g, None, trace.distinct_count,
-                                   None, "INCONCLUSIVE", trace.resource_flag,
-                                   False, trace)
-
+    verdict, stable_g, bound_t = "INCONCLUSIVE", None, None
     if trace.closed:
         o, lam = trace.closure
-        cycle_sets = set(its[o:o + lam])
-        fam = set(its[K:]) | cycle_sets if K < len(its) else cycle_sets
-        periods = [f.full_period() for f in fam]
-        if any(q is None for q in periods):
-            return StabilizationReport(beta, K, L, c, g_bound, observed_k0,
-                                       observed_g, None, trace.distinct_count,
-                                       None, "FAIL", None, True, trace)
-        g_all = math.lcm(*periods)
-        bound_t = K + g_all ** 3 * L ** 2
-        ok = g_all <= g_bound and trace.distinct_count <= bound_t
-        return StabilizationReport(beta, K, L, c, g_bound, observed_k0,
-                                   observed_g, g_all, trace.distinct_count,
-                                   bound_t, "PASS" if ok else "FAIL",
-                                   None, True, trace)
-
-    # no closure: report over the horizon if it is long enough to be
-    # meaningful, otherwise inconclusive
-    if observed_g is not None and observed_k0 is not None and observed_k0 <= K:
-        g_all = observed_g
-        bound_t = K + g_all ** 3 * L ** 2
-        if len(its) > K + bound_t and g_all <= g_bound \
-                and trace.distinct_count <= bound_t:
-            return StabilizationReport(beta, K, L, c, g_bound, observed_k0,
-                                       observed_g, g_all, trace.distinct_count,
-                                       bound_t, "PASS", None, False, trace)
-    return StabilizationReport(beta, K, L, c, g_bound, observed_k0,
-                               observed_g, None, trace.distinct_count, None,
-                               "INCONCLUSIVE", None, False, trace)
+        periods = [f.full_period() for f in set(its[o:o + lam]) | set(its[K:])]
+        verdict = "FAIL"
+        if None not in periods:
+            stable_g = math.lcm(*periods)
+            bound_t = K + stable_g ** 3 * L ** 2
+            if stable_g <= g_bound and trace.distinct_count <= bound_t:
+                verdict = "PASS"
+    elif not trace.resource_flag and observed_k0 is not None and observed_k0 <= K:
+        # no closure: a PASS over the horizon needs it long enough to be
+        # meaningful, otherwise the verdict stays inconclusive
+        bound_h = K + observed_g ** 3 * L ** 2
+        if len(its) > K + bound_h and observed_g <= g_bound \
+                and trace.distinct_count <= bound_h:
+            verdict, stable_g, bound_t = "PASS", observed_g, bound_h
+    return StabilizationReport(beta, K, L, c, g_bound, observed_k0, observed_g,
+                               stable_g, trace.distinct_count, bound_t, verdict,
+                               trace.resource_flag, trace.closed, trace)

@@ -11,6 +11,12 @@ import math
 from collections import Counter
 from itertools import product
 
+from linset.analysis import dplus
+from linset.epset import ResourceLimitExceeded, WindowCapExceeded
+from linset.linops import apply_linear_op
+from linset.residue import ResidueOrbit, gamma_mod, totient
+from linset.stability import IterationTrace, full_periodicity_onset
+
 
 def member(s, x):
     """Defining membership rule, evaluated directly."""
@@ -155,3 +161,91 @@ def coefficient_expansion(pairs):
     for choice in product(*[(a, -b) for a, b in pairs]):
         counts[math.prod(choice)] += 1
     return dict(counts)
+
+
+# -- the orbit loops that linset._orbit.orbit replaced -------------------------
+# Each is the loop as it stood before the one engine, kept as the reference
+# for every field of the results.
+
+def iterate_trace(s, seq, max_k=256):
+    iterates = [s]
+    p = len(seq) if seq.cyclic and len(seq) else None
+    first_seen = {s: 0}
+    seen_states = {(s, 0): 0} if p else None
+    cycle = None
+    closed = False
+    closure = None
+    resource = None
+    horizon = max_k if seq.cyclic else min(max_k, len(seq))
+    k = 0
+    while k < horizon:
+        try:
+            nxt = apply_linear_op(seq.op_at(k), iterates[-1])
+        except WindowCapExceeded:
+            resource = "window-cap"
+            break
+        k += 1
+        iterates.append(nxt)
+        if nxt in first_seen:
+            i = first_seen[nxt]
+            if cycle is None and seq.constant_from(i):
+                cycle = (i, k - i)
+                closed = True
+                closure = (i, k - i)
+                break
+        else:
+            first_seen[nxt] = k
+        if p is not None:
+            state = (nxt, k % p)
+            if state in seen_states:
+                closed = True
+                closure = (seen_states[state], k - seen_states[state])
+                break
+            seen_states[state] = k
+
+    trace = IterationTrace(iterates, len(set(iterates)), cycle, None, resource,
+                           closed, closure)
+    trace.periodicity_onset = full_periodicity_onset(trace)
+    return trace
+
+
+def residue_orbit(u, a, b, max_steps=None):
+    states = [u]
+    seen = {u: 0}
+    cur = u
+    steps = 0
+    while True:
+        cur = gamma_mod(cur, a, b)
+        steps += 1
+        onset = seen.setdefault(cur, len(states))
+        if onset < len(states):
+            length = len(states) - onset
+            break
+        if max_steps is not None and steps >= max_steps:
+            raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
+        states.append(cur)
+
+    cycle = states[onset:]
+    preserved = all(len(s) == len(cycle[0]) for s in cycle) and \
+        len(gamma_mod(cycle[0], a, b)) == len(cycle[0])
+    divisibility = None
+    g = u.modulus
+    for s in cycle:
+        if not (s.mask & 1) or math.gcd(g, *s) != 1:
+            continue
+        if len(gamma_mod(s, a, b)) == len(s):
+            divisibility = (totient(a) * totient(b)) % length == 0
+            break
+    return ResidueOrbit(states, onset, length, preserved, divisibility)
+
+
+def stability_time(a, max_k=128):
+    its = [a]
+    cur = a
+    for k in range(max_k):
+        nxt = dplus(cur)
+        if nxt == cur:
+            return k, its
+        its.append(nxt)
+        cur = nxt
+    raise ResourceLimitExceeded("no fixed point within %d positive-difference steps" % max_k)

@@ -453,3 +453,71 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: cannot write --out: ")
+
+
+# -- orbit edge cases, one budget rule -------------------------------------------
+
+# (argv, exit code, sha256 of stdout, stderr), recorded before the orbit loops
+# were merged into one engine
+EDGE_GOLDENS = [
+    (["iterate", "--set", "AP(1,3)", "--ops", "(3,1)(3,1)(2,1)^5"], 0,
+     "e91f2ea25188212fe5c01387a3004f2ec6a392c2737ba5f1ee944cf49f0b5a3f", ""),
+    (["iterate", "--set", "AP+(1,3,1)", "--ops", "cyc[(2,1)(3,1)(2,1)(3,1)]"], 0,
+     "d43029b2dc9c10cfd943b48cfd222e7e39718dccebce122d6b4280b559e7b80d", ""),
+    (["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "(3,1)(2,1)(3,2)", "--L", "3"], 2,
+     "a9180842980eae3ca4aea1ff48a083f6a3951b20b0dc3dc9a0c8468eeec8abda", ""),
+    (["dplus", "--set", "{0,3,7,12}"], 0,
+     "eaf7142d22343bae6f57a4216da7ba00d8f75a83d0b57686740aa968ad820b63", ""),
+    (["dplus", "--set", "{2,3,7}"], 0,
+     "2f35650227427ba94591047b2f741aa31f979213b5408bb0e3230e05dd38fcbf", ""),
+    (["dplus", "--set", "{0,5,9}", "--max-k", "0"], 2,
+     hashlib.sha256(b"").hexdigest(),
+     "resource limit: no fixed point within 0 positive-difference steps\n"),
+    (["residue", "--set", "mod 3 {0}", "--a", "2", "--b", "1", "--max-steps", "1"], 0,
+     "a3c8329ba99105e167e66ce3c22a956c9d014d7ebb8b314834f374860aac60a4", ""),
+    (["iterate", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]", "--max-k", "0"], 0,
+     "3530214edbc7618fb7fb7e3f391c8e3cf1c80d15f296ff2a7ec49a587149f5e6", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", EDGE_GOLDENS,
+                         ids=[" ".join(g[0][:3]) + " " + g[0][-1] for g in EDGE_GOLDENS])
+def test_cli_orbit_edge_goldens(argv, code, digest, err, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == err
+
+
+BUDGET_ERRORS = [
+    (["iterate", "--set", "N", "--ops", "(3,1)", "--max-k", "-1"], 3,
+     "error: step budget -1 is negative\n"),
+    (["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--max-steps", "-3"], 3,
+     "error: step budget -3 is negative\n"),
+    (["dplus", "--set", "AP+(1,7,1)", "--max-k", "-1"], 3,
+     "error: step budget -1 is negative\n"),
+    (["verify-thm61", "--set", "N", "--ops", "(3,1)", "--L", "3", "--max-steps", "-1"], 3,
+     "error: step budget -1 is negative\n"),
+    (["sweep", "--sets", "N", "--ops-list", "(3,1)", "--L", "3", "--max-steps", "-1"], 3,
+     "error: step budget -1 is negative\n"),
+    (["construct", "--kind", "scaled", "--steps", "-1"], 3,
+     "error: step budget -1 is negative\n"),
+    (["construct", "--kind", "bohr", "--N", "-5"], 3,
+     "error: the horizon n must be at least 1\n"),
+    (["construct", "--kind", "sparse", "--N", "0"], 3,
+     "error: the horizon n must be at least 1\n"),
+    (["dplus", "--set", "bohr(13/101,1/2,-3)"], 3,
+     "error: the horizon n must be at least 1\n"),
+    (["dplus", "--set", "sparse(1/2,0,5)"], 3,
+     "error: the horizon n must be at least 1\n"),
+    # zero means zero steps: the fixed point of mod 3 {0} is not reached
+    (["residue", "--set", "mod 3 {0}", "--a", "2", "--b", "1", "--max-steps", "0"], 2,
+     "resource limit: orbit did not close within 0 steps\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", BUDGET_ERRORS,
+                         ids=[" ".join(b[0][:2]) + " " + b[0][-1] for b in BUDGET_ERRORS])
+def test_cli_budget_and_horizon_errors(argv, code, err, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", err)
