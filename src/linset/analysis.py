@@ -18,12 +18,11 @@ from .linops import LinearOp, apply_linear_op
 class DensityReport:
     """Counting densities |A ∩ [1, n]| / n along a profile of sample points."""
 
-    exact_density: Fraction | None
     profile: list
     sup_profile: list
 
 
-def density_profile(elems, ns, exact=None) -> DensityReport:
+def density_profile(elems, ns) -> DensityReport:
     elems = sorted(x for x in elems if x >= 1)
     profile = []
     sup_profile = []
@@ -36,7 +35,7 @@ def density_profile(elems, ns, exact=None) -> DensityReport:
         best = max(best, val)
         profile.append((n, val))
         sup_profile.append((n, best))
-    return DensityReport(exact, profile, sup_profile)
+    return DensityReport(profile, sup_profile)
 
 
 def freiman_doubling_check(xs):

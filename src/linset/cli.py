@@ -6,9 +6,11 @@ inconclusive (ResourceLimitExceeded), 3 usage error (bad arguments, and
 InputError, which the set-grammar errors derive from), 4 internal error
 (any other exception, reported as one "internal error:" line).  The
 window cap honors the LINSET_WINDOW_CAP environment variable.  JSON is
-the format of record (schema field: 1); text output is rendered from the
-JSON dict.  ``run`` reuses one argument parser per process, built on its
-first call.
+the format of record.  Its "schema" field has one source,
+``stability.SCHEMA``, which the verifier's cells carry too; ``run`` adds
+it and "command" to every report, and renders the report as JSON, as text
+from the same dict, or as the command's CSV rows.  ``run`` reuses one
+argument parser per process, built on its first call.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from .residue import (
     decompose_equality_case,
     residue_orbit,
 )
-from .stability import iterate_trace, verify_stabilization
-
-SCHEMA = 1
+from .stability import SCHEMA, iterate_trace, verify_stabilization
 
 
 class SetSyntaxError(InputError):
@@ -309,7 +309,7 @@ def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def render_text(obj, prefix="") -> str:
+def render_text(obj) -> str:
     lines = []
 
     def walk(o, pre):
@@ -331,7 +331,7 @@ def render_text(obj, prefix="") -> str:
         else:
             lines.append("%s%s" % (pre, o))
 
-    walk(obj, prefix)
+    walk(obj, "")
     return "\n".join(lines) + "\n"
 
 
@@ -339,21 +339,18 @@ def render_csv(rows, header) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     return buf.getvalue()
-
-
-def _emit(report, rows, header, fmt):
-    if fmt == "json":
-        return render_json(report)
-    if fmt == "csv":
-        return render_csv(rows, header)
-    return render_text(report)
 
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each cmd_* returns (report, rows, header, code): the report body, without
+# the "schema" and "command" fields that ``run`` adds; its CSV rows under
+# ``header``, built from the same set texts as the report, or None for the
+# full report's sorted (field, value) pairs; and the exit code.
+
 
 def _fraction(text: str) -> Fraction:
     """A fraction option such as ``--delta 1/6``; InputError when malformed."""
@@ -365,198 +362,164 @@ def _fraction(text: str) -> Fraction:
         raise InputError("zero denominator in '%s'" % text)
 
 
-def cmd_iterate(args) -> tuple[str, int]:
-    s = parse_set_expression(args.set)
-    if isinstance(s, TruncatedSet):
-        s = s.to_epset()
+def _epset(text: str) -> EPSet:
+    """The set grammar's value as an EPSet: a finite truncation becomes
+    its finite set."""
+    s = parse_set_expression(text)
+    return s.to_epset() if isinstance(s, TruncatedSet) else s
+
+
+def _residue_set(args) -> ResidueSet:
+    """``--set`` as a residue set, checked against ``--g`` when given."""
+    u = parse_residue_set(args.set)
+    if args.g is not None and args.g != u.modulus:
+        raise UsageError("--g disagrees with the modulus in --set")
+    return u
+
+
+def cmd_iterate(args):
+    s = _epset(args.set)
     seq = parse_ops(args.ops)
     tr = iterate_trace(s, seq, max_k=args.max_k)
+    texts = [x.to_expr() for x in tr.iterates]
     report = {
-        "schema": SCHEMA,
-        "command": "iterate",
-        "set": s.to_expr(),
+        "set": texts[0],
         "ops": str(seq),
         "distinct_count": tr.distinct_count,
         "cycle": list(tr.cycle) if tr.cycle else None,
         "periodicity_onset": list(tr.periodicity_onset) if tr.periodicity_onset else None,
         "closed": tr.closed,
         "resource_flag": tr.resource_flag,
-        "iterates": [{"k": k, "set": x.to_expr()} for k, x in enumerate(tr.iterates)],
+        "iterates": [{"k": k, "set": t} for k, t in enumerate(texts)],
     }
-    rows = [(k, x.to_expr(), x.full_period()) for k, x in enumerate(tr.iterates)]
-    out = _emit(report, rows, ("k", "set", "full_period"), args.format)
-    return out, (2 if tr.resource_flag else 0)
+    rows = [(k, t, x.full_period()) for k, (t, x) in enumerate(zip(texts, tr.iterates))]
+    return report, rows, ("k", "set", "full_period"), (2 if tr.resource_flag else 0)
 
 
-def cmd_residue(args) -> tuple[str, int]:
-    u = parse_residue_set(args.set)
-    if args.g is not None and args.g != u.modulus:
-        raise UsageError("--g disagrees with the modulus in --set")
+def cmd_residue(args):
+    u = _residue_set(args)
     orb = residue_orbit(u, args.a, args.b, max_steps=args.max_steps)
+    texts = [s.to_expr() for s in orb.states]
     report = {
-        "schema": SCHEMA,
-        "command": "residue",
-        "set": u.to_expr(),
+        "set": texts[0],
         "a": args.a,
         "b": args.b,
         "onset": orb.onset,
         "cycle_length": orb.length,
         "cardinality_preserved": orb.cardinality_preserved,
         "order_divisibility": orb.order_divisibility,
-        "states": [s.to_expr() for s in orb.states],
+        "states": texts,
     }
-    rows = [(k, s.to_expr()) for k, s in enumerate(orb.states)]
-    return _emit(report, rows, ("k", "state"), args.format), 0
+    return report, list(enumerate(texts)), ("k", "state"), 0
 
 
-def cmd_decompose(args) -> tuple[str, int]:
-    u = parse_residue_set(args.set)
-    if args.g is not None and args.g != u.modulus:
-        raise UsageError("--g disagrees with the modulus in --set")
+def cmd_decompose(args):
+    u = _residue_set(args)
     res = decompose_equality_case(u, args.a, args.b)
+    report = {"set": u.to_expr(), "a": args.a, "b": args.b}
     if isinstance(res, DecompositionCertificate):
-        report = {
-            "schema": SCHEMA,
-            "command": "decompose",
-            "set": u.to_expr(),
-            "a": args.a,
-            "b": args.b,
+        subgroup = res.subgroup().to_expr()
+        report.update({
             "result": "certificate",
             "translation": res.translation,
             "a1": res.a1,
             "b1": res.b1,
             "v": list(res.v),
             "x": list(res.x),
-            "subgroup": res.subgroup().to_expr(),
+            "subgroup": subgroup,
             "verified": res.verify(u),
-        }
-        code = 0
+        })
         rows = [("a1", res.a1), ("b1", res.b1), ("v", " ".join(map(str, res.v))),
-                ("x", " ".join(map(str, res.x))), ("subgroup", res.subgroup().to_expr())]
+                ("x", " ".join(map(str, res.x))), ("subgroup", subgroup)]
+        code = 0
     else:
-        report = {
-            "schema": SCHEMA,
-            "command": "decompose",
-            "set": u.to_expr(),
-            "a": args.a,
-            "b": args.b,
-            "result": "failure",
-            "failed_hypothesis": res.hypothesis,
-        }
-        code = 1
+        report.update({"result": "failure", "failed_hypothesis": res.hypothesis})
         rows = [("failed_hypothesis", res.hypothesis)]
-    return _emit(report, rows, ("field", "value"), args.format), code
+        code = 1
+    return report, rows, ("field", "value"), code
 
 
-def cmd_dplus(args) -> tuple[str, int]:
-    s = parse_set_expression(args.set)
-    if isinstance(s, TruncatedSet):
-        s = s.to_epset()
+def cmd_dplus(args):
+    s = _epset(args.set)
     t, its = stability_time(s, max_k=args.max_k)
     dens = s.upper_density()
     bounds = None
     if 0 < dens <= Fraction(1, 2):
         st, rz = stability_time_bounds(dens)
         bounds = {"doubling": st, "refined": rz}
+    texts = [x.to_expr() for x in its]
     report = {
-        "schema": SCHEMA,
-        "command": "dplus",
-        "set": s.to_expr(),
+        "set": texts[0],
         "density": str(dens),
         "stability_time": t,
         "bounds": bounds,
-        "iterates": [{"k": k, "set": x.to_expr()} for k, x in enumerate(its)],
+        "iterates": [{"k": k, "set": t} for k, t in enumerate(texts)],
     }
-    rows = [(k, x.to_expr()) for k, x in enumerate(its)]
-    return _emit(report, rows, ("k", "set"), args.format), 0
+    return report, list(enumerate(texts)), ("k", "set"), 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
-    s = parse_set_expression(args.set)
-    if isinstance(s, TruncatedSet):
-        raise UsageError("the stabilization verifier needs an infinite set")
-    seq = parse_ops(args.ops)
-    rep = verify_stabilization(s, seq, bound=args.L, c=args.c,
-                               max_steps=args.max_steps)
-    d = rep.to_json_dict()
-    d["command"] = "verify-thm61"
+def _verify_cell(set_expr, ops_expr, bound, c, max_steps):
+    """One verifier cell: the parsed set and ops, and the JSON dict of
+    their stabilization report."""
+    s = _epset(set_expr)
+    seq = parse_ops(ops_expr)
+    rep = verify_stabilization(s, seq, bound=bound, c=c, max_steps=max_steps)
+    return s, seq, rep.to_json_dict()
+
+
+def cmd_verify(args):
+    s, seq, d = _verify_cell(args.set, args.ops, args.L, args.c, args.max_steps)
     d["set"] = s.to_expr()
     d["ops"] = str(seq)
-    rows = [(k, d[k]) for k in sorted(d)]
-    code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[rep.verdict]
-    return _emit(d, rows, ("field", "value"), args.format), code
+    code = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[d["verdict"]]
+    return d, None, ("field", "value"), code
 
 
-def cmd_construct(args) -> tuple[str, int]:
+def cmd_construct(args):
     kind = args.kind
     if kind == "ap":
         orbit = constructions.ap_counterexample(args.a, args.b)
+        texts = [orbit.predicted(k).to_expr() for k in range(0, 2 * orbit.cycle_length + 1)]
         report = {
-            "schema": SCHEMA,
-            "command": "construct",
-            "kind": "ap",
-            "set": orbit.start.to_expr(),
+            "set": texts[0],
             "cycle_length": orbit.cycle_length,
             "stable": orbit.stable,
-            "predicted": [{"k": k, "set": orbit.predicted(k).to_expr()}
-                          for k in range(0, 2 * orbit.cycle_length + 1)],
+            "predicted": [{"k": k, "set": t} for k, t in enumerate(texts)],
         }
-        rows = [(p["k"], p["set"]) for p in report["predicted"]]
-        return _emit(report, rows, ("k", "set"), args.format), 0
-    if kind == "bohr":
+        rows, header = list(enumerate(texts)), ("k", "set")
+    elif kind == "bohr":
         t = constructions.bohr_truncation(_fraction(args.alpha), _fraction(args.delta), args.N)
         points = {max(1, args.N * i // 10) for i in range(1, 11)}
-        profile = [(n, int(d * n), d) for n, d in density_profile(t.elems, points).profile]
-        report = {
-            "schema": SCHEMA, "command": "construct", "kind": "bohr",
-            "alpha": args.alpha, "delta": args.delta, "n": args.N,
-            "count": len(t), "density": str(t.density()),
-            "profile": [{"n": n, "count": c, "density": str(d)}
-                        for n, c, d in profile],
-            "set": t.to_expr(),
-        }
-        rows = [(n, c, str(d)) for n, c, d in profile]
-        return _emit(report, rows, ("n", "count", "density"), args.format), 0
-    if kind == "sparse":
+        rows = [(n, int(d * n), str(d)) for n, d in density_profile(t.elems, points).profile]
+        report = {"alpha": args.alpha, "delta": args.delta, "n": args.N,
+                  "count": len(t), "density": str(t.density()),
+                  "profile": [{"n": n, "count": c, "density": d} for n, c, d in rows],
+                  "set": t.to_expr()}
+        header = ("n", "count", "density")
+    elif kind == "sparse":
         xs = [_fraction(x) for x in args.xs.split(",")]
         t = constructions.sparse_interval_union(xs, _fraction(args.delta), args.N)
-        report = {
-            "schema": SCHEMA, "command": "construct", "kind": "sparse",
-            "delta": args.delta, "n": args.N, "count": len(t),
-            "set": t.to_expr(),
-        }
-        rows = [(x,) for x in t.elems]
-        return _emit(report, rows, ("element",), args.format), 0
-    if kind == "parity":
+        report = {"delta": args.delta, "n": args.N, "count": len(t), "set": t.to_expr()}
+        rows, header = [(x,) for x in t.elems], ("element",)
+    elif kind == "parity":
         if args.bits.strip("01"):
             raise InputError("bits must be 0 or 1")
         fx = constructions.parity_flip_sequence([int(c) for c in args.bits])
-        report = {
-            "schema": SCHEMA, "command": "construct", "kind": "parity",
-            "bits": args.bits,
-            "prediction_rule": "prefix-parity",
-            "ops": str(fx.seq),
-            "predictions": [{"k": k, "set": x.to_expr()}
-                            for k, x in enumerate(fx.predictions)],
-        }
-        rows = [(p["k"], p["set"]) for p in report["predictions"]]
-        return _emit(report, rows, ("k", "set"), args.format), 0
-    if kind == "scaled":
+        texts = [x.to_expr() for x in fx.predictions]
+        report = {"bits": args.bits, "prediction_rule": "prefix-parity",
+                  "ops": str(fx.seq),
+                  "predictions": [{"k": k, "set": t} for k, t in enumerate(texts)]}
+        rows, header = list(enumerate(texts)), ("k", "set")
+    elif kind == "scaled":
         rep = constructions.scaled_divergence(args.d, args.a, args.b, steps=args.steps)
-        report = {
-            "schema": SCHEMA, "command": "construct", "kind": "scaled",
-            "d": args.d,
-            "iterates": [{"k": k, "set": x.to_expr(),
-                          "divisible": rep.divisible[k],
-                          "min_nonzero_abs": rep.min_nonzero_abs[k]}
-                         for k, x in enumerate(rep.iterates)],
-            "all_distinct": rep.all_distinct,
-        }
-        rows = [(i["k"], i["set"], i["divisible"], i["min_nonzero_abs"])
-                for i in report["iterates"]]
-        return _emit(report, rows, ("k", "set", "divisible", "min_nonzero_abs"),
-                     args.format), 0
-    raise UsageError("unknown construction kind '%s'" % kind)
+        rows = [(k, x.to_expr(), rep.divisible[k], rep.min_nonzero_abs[k])
+                for k, x in enumerate(rep.iterates)]
+        header = ("k", "set", "divisible", "min_nonzero_abs")
+        report = {"d": args.d, "all_distinct": rep.all_distinct,
+                  "iterates": [dict(zip(header, row)) for row in rows]}
+    else:
+        raise UsageError("unknown construction kind '%s'" % kind)
+    return {"kind": kind, **report}, rows, header, 0
 
 
 def _sweep_cell(cell):
@@ -564,26 +527,17 @@ def _sweep_cell(cell):
     # forkserver does not inherit a cap set through set_window_cap
     set_expr, ops_expr, bound, c, max_steps, cap = cell
     set_window_cap(cap)
-    s = parse_set_expression(set_expr)
-    if isinstance(s, TruncatedSet):
-        s = s.to_epset()
-    seq = parse_ops(ops_expr)
-    rep = verify_stabilization(s, seq, bound=bound, c=c, max_steps=max_steps)
-    d = rep.to_json_dict()
+    d = _verify_cell(set_expr, ops_expr, bound, c, max_steps)[2]
     d["set"] = set_expr
     d["ops"] = ops_expr
     return d
 
 
-def cmd_sweep(args) -> tuple[str, int]:
+def cmd_sweep(args):
     sets = [x.strip() for x in args.sets.split(";") if x.strip()]
     ops_entries = [x.strip() for x in args.ops_list.split(";") if x.strip()]
-    expanded_ops = []
-    for entry in ops_entries:
-        if entry.startswith("rand"):
-            expanded_ops.append(str(_parse_rand(entry, args.seed)))
-        else:
-            expanded_ops.append(entry)
+    expanded_ops = [str(_parse_rand(e, args.seed)) if e.startswith("rand") else e
+                    for e in ops_entries]
     cells = [(se, oe, args.L, args.c, args.max_steps, window_cap())
              for se in sets for oe in expanded_ops]
     if args.jobs > 1:
@@ -595,8 +549,6 @@ def cmd_sweep(args) -> tuple[str, int]:
     for r in results:
         summary[r["verdict"]] += 1
     report = {
-        "schema": SCHEMA,
-        "command": "sweep",
         "seed": args.seed,
         "cells": results,
         "summary": summary,
@@ -608,8 +560,7 @@ def cmd_sweep(args) -> tuple[str, int]:
         code = 1
     elif summary["INCONCLUSIVE"]:
         code = 2
-    return _emit(report, rows, ("set", "ops", "verdict", "distinct",
-                                "bound", "k0", "g"), args.format), code
+    return report, rows, ("set", "ops", "verdict", "distinct", "bound", "k0", "g"), code
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +658,14 @@ def run(argv) -> int:
     """Run one command; returns its exit code (see the module docstring)."""
     try:
         args = _parser().parse_args(argv)
-        out, code = args.func(args)
+        body, rows, header, code = args.func(args)
+        report = {"schema": SCHEMA, "command": args.command, **body}
+        if args.format == "json":
+            out = render_json(report)
+        elif args.format == "csv":
+            out = render_csv(sorted(report.items()) if rows is None else rows, header)
+        else:
+            out = render_text(report)
     except UsageError as e:
         sys.stderr.write("usage error: %s\n" % e)
         return 3

@@ -21,8 +21,6 @@ class TruncatedSet:
 
     elems: tuple
     horizon: int
-    provenance: str
-    params: tuple = ()
 
     def __post_init__(self):
         if any(x < 0 or x > self.horizon for x in self.elems):
@@ -171,8 +169,7 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
         t = (p * a) % q
         if 2 * min(t, q - t) * dd < dn * q:
             elems.append(a)
-    return TruncatedSet(tuple(elems), n, "bohr",
-                        (("alpha", str(alpha)), ("delta", str(delta)), ("n", n)))
+    return TruncatedSet(tuple(elems), n)
 
 
 def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
@@ -192,9 +189,7 @@ def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
         for v in range(int(left) + 1, min(n, int(right)) + 1):
             if left < v < right:
                 elems.add(v)
-    return TruncatedSet(tuple(sorted(elems)), n, "sparse",
-                        (("delta", str(delta)), ("n", n),
-                         ("xs", tuple(str(x) for x in xs))))
+    return TruncatedSet(tuple(sorted(elems)), n)
 
 
 def interval_gap_profile(xs, delta: Fraction, a: int, b: int):

@@ -203,7 +203,7 @@ class EPSet:
         return bool((self.window >> (x - self.lo)) & 1)
 
     def _key(self):
-        return (self.period, self.lo, self.window, self.neg_tail, self.pos_tail)
+        return (self.period, self.lo, self.hi, self.window, self.neg_tail, self.pos_tail)
 
     def __eq__(self, other):
         if not isinstance(other, EPSet):

@@ -339,12 +339,11 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     return s.dilate(op.a).minkowski(s.negate().dilate(op.b))
 
 
-def apply_composition(seq, s: EPSet, upto: int | None = None) -> EPSet:
+def apply_composition(seq, s: EPSet) -> EPSet:
     """Apply the operations of ``seq`` left to right; zero operations is S."""
     if not isinstance(seq, OpSequence):
         seq = OpSequence(tuple(seq))
-    n = len(seq) if upto is None else upto
     out = s
-    for k in range(n):
+    for k in range(len(seq)):
         out = apply_linear_op(seq.op_at(k), out)
     return out

@@ -205,25 +205,6 @@ class DecompositionFailure:
     hypothesis: str
 
 
-def _coprime_split(g: int, a: int) -> int:
-    """Product of the maximal prime powers of g over primes dividing a."""
-    out = 1
-    m = g
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            power = 1
-            while m % p == 0:
-                m //= p
-                power *= p
-            if a % p == 0:
-                out *= power
-        p += 1
-    if m > 1 and a % m == 0:
-        out *= m
-    return out
-
-
 def decompose_equality_case(u: ResidueSet, a: int, b: int):
     """Decompose an equality instance |aU + bU| = |U|, or report why not.
 
@@ -251,12 +232,6 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     if a1 * b1 != g1:
         return DecompositionFailure("quotient modulus does not split over a and b")
 
-    a_side = _coprime_split(g1, a)
-    b_side = g1 // a_side
-    # under the verified split the constructive side equals gcd(g1, a)
-    if a_side != a1 or b_side != b1:
-        return DecompositionFailure("quotient modulus does not split over a and b")
-
     # components of U1 by residue mod b1, as masks mod g1
     b1_group = _periodic_fill(1, b1, 0, g1)
     comps = [c for c in (u1 & _rotate(b1_group, k, g1) for k in range(b1)) if c]
@@ -277,8 +252,6 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     x_part = tuple(_bits(base))
     if any(val % a1 for val in v):
         return DecompositionFailure("representatives escape the a-side subgroup")
-    if any(val % b1 for val in x_part):
-        return DecompositionFailure("base component escapes the b-side subgroup")
 
     cert = DecompositionCertificate(
         modulus=g, a=a, b=b, translation=translation,
@@ -312,15 +285,17 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     if closure is None:
         raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
     onset, length = closure
+    # the image of cycle[i] is cycle[i + 1], and that of the last is cycle[0]
     cycle = states[onset:]
+    images = cycle[1:] + cycle[:1]
     size = len(cycle[0])
-    preserved = all(len(s) == size for s in cycle) and len(gamma_mod(cycle[0], a, b)) == size
+    preserved = all(len(s) == size for s in cycle)
     divisibility = None
     g = u.modulus
-    for s in cycle:
+    for s, image in zip(cycle, images):
         if not (s.mask & 1) or math.gcd(g, *s) != 1:
             continue
-        if len(gamma_mod(s, a, b)) == len(s):
+        if len(image) == len(s):
             divisibility = (totient(a) * totient(b)) % length == 0
             break
     return ResidueOrbit(states, onset, length, preserved, divisibility)

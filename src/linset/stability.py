@@ -64,10 +64,9 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
     return trace
 
 
-def full_periodicity_onset(trace: IterationTrace, g_max: int | None = None):
+def full_periodicity_onset(trace: IterationTrace):
     """Smallest (k0, g): every recorded iterate from k0 on satisfies
-    S + g == S, with g minimal (the lcm of the suffix periods); g is
-    required to stay within g_max when one is given."""
+    S + g == S, with g minimal (the lcm of the suffix periods)."""
     periods = [s.full_period() for s in trace.iterates]
     last_bad = -1
     for i, q in enumerate(periods):
@@ -76,12 +75,7 @@ def full_periodicity_onset(trace: IterationTrace, g_max: int | None = None):
     k0 = last_bad + 1
     if k0 >= len(periods):
         return None
-    while k0 < len(periods):
-        g = math.lcm(*periods[k0:])
-        if g_max is None or g <= g_max:
-            return (k0, g)
-        k0 += 1
-    return None
+    return (k0, math.lcm(*periods[k0:]))
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -97,6 +91,11 @@ def _floor_log2(x: Fraction) -> int:
     while (p << -e) < q:
         e -= 1
     return e
+
+
+# the version of every report layout: the verifier's cells and the CLI's
+# reports, which carry it as their "schema" field
+SCHEMA = 1
 
 
 @dataclass
@@ -126,7 +125,7 @@ class StabilizationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "beta": str(self.beta),
             "K": self.K,
             "g_bound": str(self.g_bound),

@@ -226,7 +226,7 @@ def test_empirical_stability_meets_bounds():
 
 
 def test_density_profile():
-    rep = density_profile([1, 2, 4, 8, 16], [2, 4, 8, 16], exact=None)
+    rep = density_profile([1, 2, 4, 8, 16], [2, 4, 8, 16])
     assert rep.profile[0] == (2, Fraction(2, 2))
     assert rep.sup_profile[-1][1] == Fraction(1)
     assert all(0 <= v <= 1 for _, v in rep.profile)

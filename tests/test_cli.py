@@ -521,3 +521,136 @@ BUDGET_ERRORS = [
 def test_cli_budget_and_horizon_errors(argv, code, err, capsys):
     assert run(argv) == code
     assert capsys.readouterr() == ("", err)
+
+
+# -- one report path: every subcommand in every format ------------------------
+
+# (argv, sha256 over json, csv and text of "exit code NUL stdout NUL stderr NUL"),
+# recorded before the commands shared one report path, except where noted
+REPORT_GOLDENS = [
+    (["iterate", "--set", "AP+(1,3,1)", "--ops", "(3,1)^4"],
+     "458ccd85c4b373d2081c3a7d0107695064fe05f9948926408ff42739af0dc469"),
+    (["iterate", "--set", "U({0,2,5},AP+(1,3,7))", "--ops", "cyc[(2,1)(3,2)]"],
+     "9e958bbb55fcc94db98494c5dbeed42e74d52953832f458192d80bba36509308"),
+    (["iterate", "--set", "sparse(1/2,40,1,4,27)", "--ops", "(2,1)"],
+     "44184eaf77cf9999c6c3993b37e5af833c54d89e2c306e4477220a0a118e17bf"),
+    (["iterate", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]", "--max-k", "0"],
+     "bc896b596478652c937939192527efaa3f852b80a6ae1b640fe1fec4a4443b8e"),
+    (["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--g", "12"],
+     "3d4c252c9e9253f066c4fadeabd8c7c1e89c418a0461facfc3e03dba0b7faf7d"),
+    (["residue", "--set", "mod 10 {0,1}", "--a", "3", "--b", "1"],
+     "6524151837e957c5f6c4a6d08a931ebf3426025896cf3fcca82ab9072e8e097c"),
+    (["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--g", "11"],
+     "23fd6d23f5eb66b5a3871cd827f3c8485ea3de3dee6efd3b50deb8e79f65a5d8"),
+    (["decompose", "--set", "mod 12 {0,3,4,6,7,10}", "--a", "4", "--b", "3", "--g", "12"],
+     "c43a2c63713cd6ac93892b2d9855fe278d3a0fec7876a372a7818362091786b4"),
+    (["decompose", "--set", "mod 6 {0,1,2}", "--a", "5", "--b", "1"],
+     "eb896c0c48d0e86c952737e7e619834ebf44a7386c6c6f8fc068f01983094ef4"),
+    (["decompose", "--set", "mod 12 {0}", "--a", "4", "--b", "3", "--g", "11"],
+     "23fd6d23f5eb66b5a3871cd827f3c8485ea3de3dee6efd3b50deb8e79f65a5d8"),
+    (["dplus", "--set", "AP+(1,5,1)"],
+     "0ff978c2fc1c3cdcad2725a524a0839a70e92b869024b35d0f3c598b3787fbeb"),
+    (["dplus", "--set", "{0,3,7,12}"],
+     "800bb04c159003978ac610a9a5903b4699965ecb27102b77f0db74d25d31c0d0"),
+    (["dplus", "--set", "bohr(33461/80782,1/6,200)"],
+     "fbfed680557a674ab318674e1b1ff182d2925dbcd3c8dd6947a945e5f5e710e2"),
+    (["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]", "--L", "3"],
+     "96bd559ee1ee7ba1b967b8b2c791bfa4882d8a14645fde05e1f90c8e4b63bdaa"),
+    (["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "(3,1)(2,1)(3,2)", "--L", "3"],
+     "c8c2a7b4d1e7a58730a67dc783ad22b7fd38a9d0555465543ca42d610c85f0aa"),
+    (["verify-thm61", "--set", "U(AP(0,4),AP(1,4))",
+      "--ops", "cyc[(2,1)(3,2)]", "--L", "3"],
+     "25e93dcf2001f88bf549dac7937088b3c204ff17d05e63725ae0ba4c2d09d129"),
+    (["verify-thm61", "--set", "N", "--ops", "cyc[(4,2)]", "--L", "4"],
+     "b8ea793afacf8e4ab7652f070c5365b36cb539b0145ae4160f2185f28968d707"),
+    # recorded once a finite truncation was refused as sweep refuses it, by
+    # the verifier's density check (exit 3 both before and since)
+    (["verify-thm61", "--set", "sparse(1/2,40,1,4,27)",
+      "--ops", "cyc[(2,1)]", "--L", "2"],
+     "45bb775b1ec8af6fc39194f88b9f4bd7dc52865fa6407a05c619d3524b793459"),
+    (["construct", "--kind", "ap", "--a", "5", "--b", "2"],
+     "dc687775b67ed5bd4ff388426dfbe394d2471f9cf827a6712fa3c779596d1e02"),
+    (["construct", "--kind", "bohr", "--alpha", "33461/80782", "--N", "300"],
+     "af6001bff67b3557cc318154c67c497b1f354a23a302ed457433a37243a2ee8e"),
+    (["construct", "--kind", "sparse", "--N", "300"],
+     "d92a2f0a8ca570fab573f713c2ae206919ebdbbc82a720178202ac8a0da16784"),
+    (["construct", "--kind", "parity", "--bits", "0110"],
+     "8809f87da83904e56757ab128f7b6a5dce51884692d7750052cc4ce7469de7b6"),
+    (["construct", "--kind", "parity", "--bits", "01x"],
+     "0a5753a7dcbec54919b3b9735c687388f74db1067801e259dcd333bd95b4e224"),
+    (["construct", "--kind", "scaled", "--d", "3", "--steps", "3"],
+     "c45c8ccc87ef04fdeca1f983d22f25d3f2e96bd41d88c8913c24fc4969a0e6c7"),
+    (["sweep", "--sets", "AP+(1,3,1);U({0,1,5},AP+(2,7,9))",
+      "--ops-list", "cyc[(3,1)];rand(5,3)", "--L", "3", "--seed", "4"],
+     "68c19e36fba7f872cf3646f4a33d8cbe4cd6c1cf74ad7992ad5d78d0b436914f"),
+    # recorded once Z minus {0} no longer compared equal to Z, which had made
+    # this cell a false FAIL (exit 1); no true FAIL cell is known
+    (["sweep", "--sets", "AP+(1,3,1);U(AP-(-1,1,-1),AP+(1,1,1))",
+      "--ops-list", "cyc[(2,1)]", "--L", "2"],
+     "5f950c478ec956399daa6f838e23be113febd088494742047a7a1e5a651f6490"),
+    (["sweep", "--sets", "N", "--ops-list", "(3,1)(2,1)(3,2)", "--L", "3"],
+     "3dd9cb1c00f81d60fe1b236e957f2ad82dd768d518e7eac12fa4f91b4a85374a"),
+    (["sweep", "--sets", "bohr(33461/80782,1/6,200)",
+      "--ops-list", "cyc[(2,1)]", "--L", "2"],
+     "45bb775b1ec8af6fc39194f88b9f4bd7dc52865fa6407a05c619d3524b793459"),
+    (["iterate", "--set", "N"],
+     "6fbdcb5bc0d71dfc427f0a1e688326d3ceb9cf7ec4cf3e24c3067f1b074a93fa"),
+    (["iterate", "--set", "AP(1,", "--ops", "(2,1)"],
+     "b138271f3f069c26cec7782beaa87fdf0e8cec9ba5fd323049d9ebe86a7d38c1"),
+]
+
+
+def report_digest(argv, capsys):
+    h = hashlib.sha256()
+    for fmt in ("json", "csv", "text"):
+        code = run(argv + ["--format", fmt])
+        out, err = capsys.readouterr()
+        h.update(("%d\0%s\0%s\0" % (code, out, err)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_GOLDENS,
+                         ids=[" ".join(g[0])[:60] for g in REPORT_GOLDENS])
+def test_cli_reports_pinned(argv, digest, capsys):
+    assert report_digest(argv, capsys) == digest
+
+
+@pytest.mark.parametrize("expr", ["sparse(1/2,40,1,4,27)", "bohr(33461/80782,1/6,200)"])
+def test_cli_verify_refuses_a_truncation_by_density(expr, capsys):
+    assert run(["verify-thm61", "--set", expr, "--ops", "cyc[(2,1)]", "--L", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: the input set must have positive upper density\n")
+
+
+def test_cli_sweep_exit_code_ranks_fail_first(capsys, monkeypatch):
+    # no true FAIL cell is known, so the cells' verdicts are stubbed by set
+    def cell(set_expr, ops_expr, bound, c, max_steps):
+        d = {"verdict": set_expr, "distinct_count": 1, "bound": None,
+             "observed_k0": None, "observed_g": None}
+        return None, None, d
+    monkeypatch.setattr(cli, "_verify_cell", cell)
+    for sets, code, summary in (("PASS;INCONCLUSIVE;FAIL", 1, [1, 1, 1]),
+                                ("INCONCLUSIVE;PASS", 2, [0, 1, 1]),
+                                ("PASS;PASS", 0, [0, 0, 2])):
+        assert run(["sweep", "--sets", sets, "--ops-list", "(2,1)", "--L", "2"]) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert [rep["summary"][v] for v in ("FAIL", "INCONCLUSIVE", "PASS")] == summary
+
+
+# Z minus {0}: its canonical window [0, 0] holds no element, and equality
+# used to ignore the window's end, so the set compared equal to Z
+Z_MINUS_0 = "U(AP-(-1,1,-1),AP+(1,1,1))"
+
+
+def test_cli_iterate_of_z_minus_a_point(capsys):
+    assert run(["iterate", "--set", Z_MINUS_0, "--ops", "(2,1)"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["set"], rep["closed"], rep["cycle"], rep["periodicity_onset"]) == \
+        (Z_MINUS_0, False, None, [1, 1])
+    assert [i["set"] for i in rep["iterates"]] == [Z_MINUS_0, "Z"]
+
+
+def test_cli_verify_of_z_minus_a_point_passes(capsys):
+    assert run(["verify-thm61", "--set", Z_MINUS_0, "--ops", "cyc[(2,1)]", "--L", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["set"], rep["verdict"], rep["observed_k0"], rep["observed_g"]) == \
+        (Z_MINUS_0, "PASS", 1, 1)

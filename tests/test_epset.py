@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import epsets, random_epset
+from linset._bits import _periodic_fill
 from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 
 R = 200  # comparison radius for oracle checks
@@ -76,6 +78,51 @@ def test_canonical_window_is_tight(s):
         low_ok = (s.window & 1) != ((s.neg_tail >> (s.lo % s.period)) & 1)
         high_ok = ((s.window >> (width - 1)) & 1) != ((s.pos_tail >> (s.hi % s.period)) & 1)
         assert low_ok and high_ok
+
+
+def test_window_end_is_part_of_identity():
+    # a canonical window whose top bits are 0 under a pos rule of 1
+    z_minus_0 = EPSet(1, 0, 0, 0, 1, 1)
+    assert z_minus_0 != EPSet.integers() and 0 not in z_minus_0
+    assert z_minus_0.to_expr() == "U(AP-(-1,1,-1),AP+(1,1,1))"
+    z_minus_02 = EPSet(1, 0, 2, 0b010, 1, 1)
+    z_minus_023 = EPSet(1, 0, 3, 0b0010, 1, 1)
+    assert z_minus_02 != z_minus_023
+    assert len({z_minus_02, z_minus_023, z_minus_0, EPSet.integers()}) == 4
+
+
+@st.composite
+def near_pairs(draw):
+    """A set and a re-encoding of it, with a larger modulus and a padded
+    window, in which one window point may be flipped."""
+    s = draw(epsets())
+    g = s.period * draw(st.integers(1, 3))
+    lo = s.lo - draw(st.integers(0, 2 * g))
+    hi = s.hi + draw(st.integers(0, 2 * g))
+    window = s.membership_mask(lo, hi)
+    if hi >= lo and draw(st.booleans()):
+        window ^= 1 << draw(st.integers(0, hi - lo))
+    neg = _periodic_fill(s.neg_tail, s.period, 0, g)
+    pos = _periodic_fill(s.pos_tail, s.period, 0, g)
+    return s, EPSet(g, lo, hi, window, neg, pos)
+
+
+def same_members(s, t):
+    """Membership agrees on a range reaching one lcm of the periods past
+    both windows, so it agrees everywhere."""
+    m = math.lcm(s.period, t.period)
+    lo, hi = min(s.lo, t.lo) - m, max(s.hi, t.hi) + m
+    return s.membership_mask(lo, hi) == t.membership_mask(lo, hi)
+
+
+@given(st.one_of(near_pairs(), st.tuples(epsets(), epsets())))
+@example((EPSet.integers(), EPSet(1, 0, 0, 0, 1, 1)))
+@settings(max_examples=300, deadline=None)
+def test_equality_is_membership(pair):
+    s, t = pair
+    assert (s == t) == same_members(s, t)
+    if s == t:
+        assert hash(s) == hash(t) and s.to_expr() == t.to_expr()
 
 
 # -- single operations against the oracle ------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
@@ -377,3 +378,22 @@ def test_sweep_refuses_above_window_cap():
         assert cardinality_sweep(11, 2, 1, masks=np.array([1, 2, 3], dtype=np.uint64))[0]
     finally:
         set_window_cap(old)
+
+
+# sha256 over "g mask a b fields" lines of decompose_equality_case for every
+# mask with g <= 10 and every coprime pair a, b <= 6, the fields being the
+# certificate's or the failure's; recorded before the unreachable split and
+# b-side checks were deleted
+DECOMPOSE_SMALL_SHA256 = "950cd71f3eb66e2624ac630734e2562edc7b1b23d1ecab9d8781afabf1be3f8d"
+
+
+def test_decompose_small_moduli_pinned():
+    h = hashlib.sha256()
+    pairs = [(a, b) for a in range(1, 7) for b in range(1, 7) if math.gcd(a, b) == 1]
+    for g in range(1, 11):
+        for mask in range(1 << g):
+            u = ResidueSet.from_mask(g, mask)
+            for a, b in pairs:
+                res = decompose_equality_case(u, a, b)
+                h.update(("%d %d %d %d %r\n" % (g, mask, a, b, astuple(res))).encode())
+    assert h.hexdigest() == DECOMPOSE_SMALL_SHA256

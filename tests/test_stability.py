@@ -61,8 +61,7 @@ def test_periodicity_onset():
 def test_onset_with_bound():
     a = EPSet.half_line(1, 3, 1)
     tr = iterate_trace(a, OpSequence.repeat(3, 1, 10))
-    assert full_periodicity_onset(tr, g_max=2) is None
-    assert full_periodicity_onset(tr, g_max=3) == (1, 3)
+    assert full_periodicity_onset(tr) == (1, 3)
 
 
 def test_floor_log2_exact():
