@@ -95,7 +95,7 @@ class _Scanner:
             self.skip_ws()
             raise SetSyntaxError("expected an integer", self.i)
         self.i = m.end()
-        return int(m.group(1))
+        return _to_int(m, 1)
 
     def fraction(self):
         num = self.integer()
@@ -121,6 +121,15 @@ class _Scanner:
         return self.text[start:self.i]
 
 
+def _to_int(m, group):
+    """The integer matched by ``m.group(group)``; one past int()'s digit
+    limit is a syntax error at its position."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise SetSyntaxError("integer literal too long", m.start(group)) from None
+
+
 def _int_literal(sc: _Scanner) -> list:
     """The integers of a ``{e1,e2,...}`` literal, braces included."""
     sc.take("{")
@@ -128,7 +137,10 @@ def _int_literal(sc: _Scanner) -> list:
     body, comma, close = m.groups()
     if close and not comma:
         sc.i = m.end()
-        return list(map(int, body.split(","))) if body else []
+        try:
+            return list(map(int, body.split(","))) if body else []
+        except ValueError:
+            return [_to_int(x, 1) for x in _INTEGER.finditer(sc.text, m.start(1), m.end(1))]
     sc.i = m.start(3) if close else m.end()
     if body and not comma:
         raise SetSyntaxError("expected '}'", sc.i)
@@ -155,12 +167,8 @@ def _parse_set(sc: _Scanner):
             sc.take(",")
             parts.append(_parse_set(sc))
         sc.take(")")
-        out = EPSet.empty()
-        for p in parts:
-            if isinstance(p, TruncatedSet):
-                p = p.to_epset()
-            out = out.union(p)
-        return out
+        return EPSet.union(*(p.to_epset() if isinstance(p, TruncatedSet) else p
+                             for p in parts))
     if name in ("AP", "AP+", "AP-"):
         sc.take("(")
         r = sc.integer()

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from ._bits import _bits, _from_offsets, convolve_or
 from ._orbit import orbit
-from .epset import EPSet, InputError, WindowCapExceeded, window_cap
+from .epset import EPSet, InputError, check_window
 from .linops import LinearOp, OpSequence, apply_linear_op
 from .residue import multiplicative_order
 
@@ -51,9 +51,7 @@ def finite_gamma(elems, a: int, b: int):
     if not elems:
         return []
     lo, hi = elems[0], elems[-1]
-    width = (a + b) * (hi - lo) + 1
-    if width > window_cap():
-        raise WindowCapExceeded(width, window_cap())
+    check_window((a + b) * (hi - lo) + 1)
     # bit a*(x - lo) for each x, convolved with bit b*(hi - y) for each y
     amask = _from_offsets((a * (x - lo) for x in elems), a * (hi - lo) + 1)
     bmask = _from_offsets((b * (hi - y) for y in elems), b * (hi - lo) + 1)
@@ -148,7 +146,8 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
 
     The surrogate must be fine enough for the horizon: its denominator has
     to exceed 4n (take a continued-fraction convergent of the intended
-    irrational), otherwise the truncation is rejected.
+    irrational), otherwise the truncation is rejected.  A horizon with
+    n + 1 past ``window_cap()`` raises ``WindowCapExceeded``.
     """
     alpha = Fraction(alpha)
     delta = Fraction(delta)
@@ -156,6 +155,7 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
         raise InputError("the horizon n must be at least 1")
     if not 0 < delta <= 1:
         raise InputError("delta must lie in (0, 1]")
+    check_window(n + 1)
     if alpha.denominator <= 4 * n:
         raise InputError(
             "surrogate denominator %d is too coarse for horizon %d"
@@ -173,7 +173,8 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
 
 
 def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
-    """Integers inside the open intervals (x_i, x_i * (1 + delta)), up to n."""
+    """Integers inside the open intervals (x_i, x_i * (1 + delta)), up to n.
+    A horizon with n + 1 past ``window_cap()`` raises ``WindowCapExceeded``."""
     delta = Fraction(delta)
     if n < 1:
         raise InputError("the horizon n must be at least 1")
@@ -182,6 +183,7 @@ def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
     xs = [Fraction(x) for x in xs]
     if any(x <= 0 for x in xs) or any(y <= x for x, y in zip(xs, xs[1:])):
         raise InputError("interval anchors must be positive and increasing")
+    check_window(n + 1)
     elems = set()
     for x in xs:
         left = x

@@ -56,11 +56,31 @@ def window_cap() -> int:
     return _window_cap
 
 
+def check_window(size: int) -> None:
+    """Raise WindowCapExceeded when an operation needs ``size`` positions,
+    more than the cap; callers check before they allocate."""
+    if size > _window_cap:
+        raise WindowCapExceeded(size, _window_cap)
+
+
 def set_window_cap(cap: int) -> None:
     global _window_cap
     if cap <= 0:
         raise InputError("window cap must be positive")
     _window_cap = cap
+
+
+# canonical keys of Z and N
+_INTEGERS = (1, 0, -1, 0, 1, 1)
+_NATURALS = (1, 0, -1, 0, 0, 1)
+
+
+def _class_bit(r, g):
+    """The mask of the residue r mod g, after g is checked."""
+    if g < 1:
+        raise InputError("modulus must be positive")
+    check_window(g)
+    return 1 << (r % g)
 
 
 class EPSet:
@@ -154,12 +174,12 @@ class EPSet:
 
     @classmethod
     def integers(cls) -> "EPSet":
-        return cls(1, 0, -1, 0, 1, 1)
+        return cls(*_INTEGERS)
 
     @classmethod
     def naturals(cls) -> "EPSet":
         """The nonnegative integers."""
-        return cls(1, 0, -1, 0, 0, 1)
+        return cls(*_NATURALS)
 
     @classmethod
     def from_iterable(cls, xs) -> "EPSet":
@@ -167,31 +187,24 @@ class EPSet:
         if not xs:
             return cls.empty()
         lo, hi = min(xs), max(xs)
-        if hi - lo + 1 > _window_cap:
-            raise WindowCapExceeded(hi - lo + 1, _window_cap)
+        check_window(hi - lo + 1)
         return cls(1, lo, hi, _from_offsets((x - lo for x in xs), hi - lo + 1), 0, 0)
 
     @classmethod
     def residue_class(cls, r: int, g: int) -> "EPSet":
         """The full two-sided progression r + gZ."""
-        if g < 1:
-            raise InputError("modulus must be positive")
-        bit = 1 << (r % g)
+        bit = _class_bit(r, g)
         return cls(g, 0, -1, 0, bit, bit)
 
     @classmethod
     def half_line(cls, r: int, g: int, start: int) -> "EPSet":
         """{x : x = r mod g, x >= start}."""
-        if g < 1:
-            raise InputError("modulus must be positive")
-        return cls(g, start, start - 1, 0, 0, 1 << (r % g))
+        return cls(g, start, start - 1, 0, 0, _class_bit(r, g))
 
     @classmethod
     def half_line_down(cls, r: int, g: int, end: int) -> "EPSet":
         """{x : x = r mod g, x <= end}."""
-        if g < 1:
-            raise InputError("modulus must be positive")
-        return cls(g, end + 1, end, 0, 1 << (r % g), 0)
+        return cls(g, end + 1, end, 0, _class_bit(r, g), 0)
 
     # -- basic queries -------------------------------------------------------
 
@@ -259,20 +272,7 @@ class EPSet:
 
     def membership_mask(self, a: int, b: int) -> int:
         """Membership bits over [a, b] (bit i <-> a + i)."""
-        if b < a:
-            return 0
-        res = 0
-        g = self.period
-        if a < self.lo:
-            res = _periodic_fill(self.neg_tail, g, a, min(self.lo - a, b - a + 1))
-        ov_lo, ov_hi = max(a, self.lo), min(b, self.hi)
-        if ov_lo <= ov_hi:
-            part = (self.window >> (ov_lo - self.lo)) & ((1 << (ov_hi - ov_lo + 1)) - 1)
-            res |= part << (ov_lo - a)
-        if b > self.hi:
-            start = max(a, self.hi + 1)
-            res |= _periodic_fill(self.pos_tail, g, start, b - start + 1) << (start - a)
-        return res
+        return _mask(self._key(), a, b)
 
     def elements_in(self, a: int, b: int) -> list:
         """Sorted list of the elements within [a, b]."""
@@ -281,16 +281,7 @@ class EPSet:
     # -- set operations ------------------------------------------------------
 
     def negate(self) -> "EPSet":
-        width = self.hi - self.lo + 1
-        g = self.period
-        return EPSet(
-            g,
-            -self.hi,
-            -self.lo,
-            _reverse(self.window, width) if width > 0 else 0,
-            _reflect(self.pos_tail, g),
-            _reflect(self.neg_tail, g),
-        )
+        return EPSet(*_negated(self._key()))
 
     def __neg__(self):
         return self.negate()
@@ -316,8 +307,7 @@ class EPSet:
             return self
         g = self.period
         width = self.hi - self.lo + 1
-        if width > 0 and (width - 1) * n + 1 > _window_cap:
-            raise WindowCapExceeded((width - 1) * n + 1, _window_cap)
+        check_window(max(n * g, (width - 1) * n + 1))
         if width > 0:
             lo, hi = n * self.lo, n * self.hi
         else:
@@ -325,22 +315,9 @@ class EPSet:
         return EPSet(n * g, lo, hi, _spread(self.window, n, n * width),
                      _spread(self.neg_tail, n, n * g), _spread(self.pos_tail, n, n * g))
 
-    def union(self, other: "EPSet") -> "EPSet":
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
-        g = math.lcm(self.period, other.period)
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        if hi - lo + 1 > _window_cap or g > _window_cap:
-            raise WindowCapExceeded(max(hi - lo + 1, g), _window_cap)
-        window = self.membership_mask(lo, hi) | other.membership_mask(lo, hi)
-        neg = _periodic_fill(self.neg_tail, self.period, 0, g) | \
-            _periodic_fill(other.neg_tail, other.period, 0, g)
-        pos = _periodic_fill(self.pos_tail, self.period, 0, g) | \
-            _periodic_fill(other.pos_tail, other.period, 0, g)
-        return EPSet(g, lo, hi, window, neg, pos)
+    def union(self, *others: "EPSet") -> "EPSet":
+        """The union of this set and ``others``, canonicalized once."""
+        return _union([self._key()] + [o._key() for o in others])
 
     def __or__(self, other):
         return self.union(other)
@@ -360,36 +337,21 @@ class EPSet:
         """Exact sumset {x + y : x in S, y in T}."""
         if self.is_empty() or other.is_empty():
             return EPSet.empty()
-
-        def win(s):
-            return (s.lo, s.window) if s.window else None
-
-        def up(s):
-            return (s.period, s.pos_tail, s.hi) if s.pos_tail else None
-
-        def down(s):
-            return (s.period, s.neg_tail, s.lo) if s.neg_tail else None
-
-        finites, ups, downs, fulls = [], [], [], []
-
-        if win(self) and win(other):
-            finites.append(_sum_windows(win(self), win(other)))
-        for w, u in ((win(self), up(other)), (win(other), up(self))):
-            if w and u:
-                ups.append(_sum_window_up(w, u))
-        for w, dn in ((win(self), down(other)), (win(other), down(self))):
-            if w and dn:
-                downs.append(_sum_window_down(w, dn))
-        if up(self) and up(other):
-            ups.append(_sum_up_up(up(self), up(other)))
-        if down(self) and down(other):
-            downs.append(_sum_down_down(down(self), down(other)))
-        for u, dn in ((up(self), down(other)), (up(other), down(self))):
-            if u and dn:
-                fulls.append(_sum_cross(u, dn))
-
-        return _combine_pieces(math.lcm(self.period, other.period),
-                               finites, ups, downs, fulls)
+        s, t = self._key(), other._key()
+        pieces = _up_pieces(s, t)
+        if self.window and other.window:
+            pieces.append(_sum_windows(s, t))
+        if self.neg_tail or other.neg_tail:
+            # a downward piece uses each operand's downward tail, and its
+            # window only when the other operand has a downward tail
+            ns = _negated(s[:3] + (s[3] if other.neg_tail else 0, s[4], 0))
+            nt = _negated(t[:3] + (t[3] if self.neg_tail else 0, t[4], 0))
+            pieces += map(_negated, _up_pieces(ns, nt))
+        if self.pos_tail and other.neg_tail:
+            pieces.append(_sum_cross(s, t))
+        if other.pos_tail and self.neg_tail:
+            pieces.append(_sum_cross(t, s))
+        return _union(pieces)
 
     def __add__(self, other):
         if isinstance(other, EPSet):
@@ -443,9 +405,9 @@ class EPSet:
         """Canonical expression in the set grammar; round-trips through parsing."""
         if self.is_empty():
             return "{}"
-        if self == EPSet.integers():
+        if self._key() == _INTEGERS:
             return "Z"
-        if self == EPSet.naturals():
+        if self._key() == _NATURALS:
             return "N"
         g = self.period
         if self.is_fully_periodic():
@@ -465,136 +427,122 @@ class EPSet:
 
 
 # ---------------------------------------------------------------------------
-# Minkowski sum pieces.
+# Raw pieces.
 #
-# The sum is assembled from pairwise sums of the three parts of each operand
-# (window, upward tail, downward tail).  Each pairwise sum is either finite,
-# one-sided periodic beyond an explicitly computed saturation bound, or (for
-# opposite tails) a union of full residue classes.  Two same-direction tails
-# of periods m1, m2 (d = gcd) saturate within a span of
-# m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first elements, the Frobenius
-# bound of m1/d and m2/d scaled by d (``_sum_up_up``); canonicalization
-# removes any slack afterwards.
+# A raw piece is the tuple (period, lo, hi, window, neg_tail, pos_tail) with
+# EPSet's membership rule and lo <= hi + 1, but no canonical form; an EPSet's
+# ``_key()`` is one.  ``_union`` ORs any list of pieces into one EPSet, so
+# both ``union`` and ``minkowski`` construct their result once.
+#
+# A Minkowski sum is the union of the pairwise sums of the three parts of
+# each operand (window, upward tail, downward tail).  Two windows sum to a
+# finite piece, a window and an upward tail or two upward tails to a piece
+# with an explicit window below a periodic upward tail, and opposite tails to
+# full residue classes.  Downward pieces are the upward pieces of the
+# negated operands, negated.  Two upward tails of periods m1, m2 (d = gcd)
+# saturate within a span of m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first
+# elements, the Frobenius bound of m1/d and m2/d scaled by d
+# (``_sum_up_up``); canonicalization removes any slack afterwards.
 
-def _sum_windows(w1, w2):
-    lo1, m1 = w1
-    lo2, m2 = w2
-    width = m1.bit_length() + m2.bit_length() - 1
-    if width > _window_cap:
-        raise WindowCapExceeded(width, _window_cap)
-    return (lo1 + lo2, convolve_or(m1, m2))
+def _mask(p, a, b):
+    """Membership bits of piece ``p`` over [a, b] (bit i <-> a + i)."""
+    g, lo, hi, window, neg, pos = p
+    if b < a:
+        return 0
+    res = 0
+    if a < lo:
+        res = _periodic_fill(neg, g, a, min(lo - a, b - a + 1))
+    ov_lo, ov_hi = max(a, lo), min(b, hi)
+    if ov_lo <= ov_hi:
+        res |= ((window >> (ov_lo - lo)) & ((1 << (ov_hi - ov_lo + 1)) - 1)) << (ov_lo - a)
+    if b > hi:
+        start = max(a, hi + 1)
+        res |= _periodic_fill(pos, g, start, b - start + 1) << (start - a)
+    return res
 
 
-def _sum_window_up(w, u):
-    """(window) + (upward tail) as an up piece (m, classes, expl_lo, sat_hi, bits)."""
-    wlo, wmask = w
-    m, classes, h = u
+def _negated(p):
+    """The piece of {-x : x in p}."""
+    g, lo, hi, window, neg, pos = p
+    return (g, -hi, -lo, _reverse(window, hi - lo + 1), _reflect(pos, g), _reflect(neg, g))
+
+
+def _union(pieces):
+    """The EPSet of the union of raw pieces.
+
+    The period is the lcm of the piece periods, and the window frame spans
+    every piece that is not one periodic rule everywhere."""
+    g = math.lcm(*(p[0] for p in pieces))
+    framed = [p for p in pieces if p[1] <= p[2] or p[4] != p[5]]
+    lo = min((p[1] for p in framed), default=0)
+    hi = max((p[2] for p in framed), default=-1)
+    check_window(max(hi - lo + 1, g))
+    window = neg = pos = 0
+    for p in pieces:
+        window |= _mask(p, lo, hi)
+        neg |= _periodic_fill(p[4], p[0], 0, g)
+        pos |= _periodic_fill(p[5], p[0], 0, g)
+    return EPSet(g, lo, hi, window, neg, pos)
+
+
+def _up_pieces(s, t):
+    """The pieces of s + t that are bounded below and not finite."""
+    pieces = []
+    if s[3] and t[5]:
+        pieces.append(_sum_window_up(s, t))
+    if t[3] and s[5]:
+        pieces.append(_sum_window_up(t, s))
+    if s[5] and t[5]:
+        pieces.append(_sum_up_up(s, t))
+    return pieces
+
+
+def _sum_windows(s, t):
+    _, lo1, _, m1, _, _ = s
+    _, lo2, _, m2, _, _ = t
+    check_window(m1.bit_length() + m2.bit_length() - 1)
+    conv = convolve_or(m1, m2)
+    return (1, lo1 + lo2, lo1 + lo2 + conv.bit_length() - 1, conv, 0, 0)
+
+
+def _sum_window_up(s, t):
+    """(window of s) + (upward tail of t)."""
+    _, wlo, _, wmask, _, _ = s
+    m, _, h, _, _, classes = t
     low = (wmask & -wmask).bit_length() - 1
     wmin = wlo + low
     wmax = wlo + wmask.bit_length() - 1
-    expl_lo = h + 1 + wmin
-    sat_hi = h + wmax
     span = wmax - wmin
     emask = 0
     if span > 0:
-        if span > _window_cap:
-            raise WindowCapExceeded(span, _window_cap)
+        check_window(span)
         tail_bits = _periodic_fill(classes, m, h + 1, span)
         emask = convolve_or(wmask >> low, tail_bits, span)
     shifted = _class_sum(classes, _rotate(_fold_mod(wmask, m), wlo, m), m)
-    return (m, shifted, expl_lo, sat_hi, emask)
+    return (m, h + 1 + wmin, h + wmax, emask, 0, shifted)
 
 
-def _sum_up_up(u1, u2):
-    m1, c1, h1 = u1
-    m2, c2, h2 = u2
+def _sum_up_up(s, t):
+    m1, _, h1, _, _, c1 = s
+    m2, _, h2, _, _, c2 = t
     d = math.gcd(m1, m2)
     # beyond first elements plus the Frobenius bound of m1/d, m2/d (scaled
     # by d), every class value r1 + r2 mod d is reachable
     frob = (m1 // d - 1) * (m2 // d - 1) * d
     expl_lo = h1 + h2 + 2
     span = m1 + m2 + frob - 1
-    sat_hi = expl_lo + span - 1
-    if span > _window_cap:
-        raise WindowCapExceeded(span, _window_cap)
+    check_window(span)
     t1 = _periodic_fill(c1, m1, h1 + 1, span)
     t2 = _periodic_fill(c2, m2, h2 + 1, span)
     emask = convolve_or(t1, t2, span)
     q = _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d)
-    return (d, q, expl_lo, sat_hi, emask)
+    return (d, expl_lo, expl_lo + span - 1, emask, 0, q)
 
 
-def _reflect_up_piece(piece):
-    m, q, expl_lo, sat_hi, emask = piece
-    width = sat_hi - expl_lo + 1
-    return (m, _reflect(q, m), -sat_hi, -expl_lo, _reverse(emask, width) if width > 0 else 0)
-
-
-def _sum_window_down(w, dn):
-    wlo, wmask = w
-    m, classes, lo_bound = dn
-    width = wmask.bit_length()
-    rw = (-(wlo + width - 1), _reverse(wmask, width))
-    ru = (m, _reflect(classes, m), -lo_bound)
-    return _reflect_up_piece(_sum_window_up(rw, ru))
-
-
-def _sum_down_down(d1, d2):
-    m1, c1, lo1 = d1
-    m2, c2, lo2 = d2
-    u1 = (m1, _reflect(c1, m1), -lo1)
-    u2 = (m2, _reflect(c2, m2), -lo2)
-    return _reflect_up_piece(_sum_up_up(u1, u2))
-
-
-def _sum_cross(u, dn):
-    m1, c1, _h = u
-    m2, c2, _l = dn
+def _sum_cross(s, t):
+    """(upward tail of s) + (downward tail of t): full residue classes."""
+    m1, c1 = s[0], s[5]
+    m2, c2 = t[0], t[4]
     d = math.gcd(m1, m2)
-    return (d, _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d))
-
-
-def _combine_pieces(g, finites, ups, downs, fulls):
-    if not (finites or ups or downs):
-        neg = pos = 0
-        for m, q in fulls:
-            pat = _periodic_fill(q, m, 0, g)
-            neg |= pat
-            pos |= pat
-        return EPSet(g, 0, -1, 0, neg, pos)
-
-    los, his = [], []
-    for flo, fmask in finites:
-        los.append(flo + ((fmask & -fmask).bit_length() - 1))
-        his.append(flo + fmask.bit_length() - 1)
-    for m, q, expl_lo, sat_hi, emask in ups:
-        los.append(expl_lo)
-        his.append(sat_hi)
-    for m, q, sat_lo, expl_hi, emask in downs:
-        los.append(sat_lo)
-        his.append(expl_hi)
-    lo, hi = min(los), max(his)
-    width = hi - lo + 1
-    if width > _window_cap or g > _window_cap:
-        raise WindowCapExceeded(max(width, g), _window_cap)
-
-    window = 0
-    for flo, fmask in finites:
-        window |= fmask << (flo - lo)
-    pos = neg = 0
-    for m, q, expl_lo, sat_hi, emask in ups:
-        window |= emask << (expl_lo - lo)
-        if sat_hi < hi:
-            window |= _periodic_fill(q, m, sat_hi + 1, hi - sat_hi) << (sat_hi + 1 - lo)
-        pos |= _periodic_fill(q, m, 0, g)
-    for m, q, sat_lo, expl_hi, emask in downs:
-        window |= emask << (sat_lo - lo)
-        if sat_lo > lo:
-            window |= _periodic_fill(q, m, lo, sat_lo - lo)
-        neg |= _periodic_fill(q, m, 0, g)
-    for m, q in fulls:
-        window |= _periodic_fill(q, m, lo, width)
-        pat = _periodic_fill(q, m, 0, g)
-        neg |= pat
-        pos |= pat
-    return EPSet(g, lo, hi, window, neg, pos)
+    q = _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d)
+    return (d, 0, -1, 0, q, q)

@@ -25,8 +25,7 @@ import numpy as np
 from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
                     _rotate, _spread)
 from ._orbit import orbit
-from .epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
-                    window_cap)
+from .epset import EPSet, InputError, ResourceLimitExceeded, check_window, window_cap
 
 
 def totient(n: int) -> int:
@@ -58,7 +57,10 @@ def multiplicative_order(x: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """A subset of Z/gZ, stored as a mask with bit r set iff r is a member."""
+    """A subset of Z/gZ, stored as a mask with bit r set iff r is a member.
+
+    A modulus past ``window_cap()`` is refused with ``WindowCapExceeded``
+    before any mask is built, as EPSet refuses such a period."""
 
     modulus: int
     mask: int
@@ -66,6 +68,7 @@ class ResidueSet:
     def __init__(self, modulus, elems):
         if modulus < 1:
             raise InputError("modulus must be positive")
+        check_window(modulus)
         mask = 0
         for x in elems:
             mask |= 1 << (x % modulus)
@@ -94,6 +97,7 @@ class ResidueSet:
     def from_mask(cls, modulus: int, mask: int) -> "ResidueSet":
         if modulus < 1:
             raise InputError("modulus must be positive")
+        check_window(modulus)
         u = object.__new__(cls)
         object.__setattr__(u, "modulus", modulus)
         object.__setattr__(u, "mask", mask & ((1 << modulus) - 1))
@@ -109,13 +113,10 @@ class ResidueSet:
     @classmethod
     def of_periodic(cls, s: EPSet, modulus: int) -> "ResidueSet":
         """Residues mod ``modulus`` of a fully periodic EPSet whose period
-        divides it.  A modulus past ``window_cap()`` is refused with
-        ``WindowCapExceeded`` before its mask is built, as EPSet refuses
-        such a period."""
+        divides it."""
         if not s.is_fully_periodic() or modulus % s.period:
             raise InputError("need a fully periodic set whose period divides %d" % modulus)
-        if modulus > window_cap():
-            raise WindowCapExceeded(modulus, window_cap())
+        check_window(modulus)
         return cls.from_mask(modulus, _periodic_fill(s.pos_tail, s.period, 0, modulus))
 
     def to_epset(self) -> EPSet:

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import tracemalloc
 
 from hypothesis import strategies as st
 
@@ -13,6 +15,18 @@ def random_epset(rng: random.Random, max_period: int = 12, span: int = 40) -> EP
     neg = rng.getrandbits(g)
     pos = rng.getrandbits(g)
     return EPSet(g, lo, lo + width - 1, window, neg, pos)
+
+
+@contextlib.contextmanager
+def allocates_below(limit: int):
+    """Fail unless the block's traced allocations peak below ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, "peak of %d bytes" % peak
 
 
 @st.composite

@@ -516,6 +516,21 @@ BUDGET_ERRORS = [
 ]
 
 
+# 5000 digits, past int()'s default limit of 4300
+LONG = "1" + "0" * 4999
+LONG_LITERALS = [(["iterate", "--set", "{1," + LONG + "}", "--ops", "(2,1)"], 3),
+                 (["iterate", "--set", "AP(1," + LONG + ")", "--ops", "(2,1)"], 5),
+                 (["iterate", "--set", "N", "--ops", "(2,1)^" + LONG], 6),
+                 (["residue", "--set", "mod " + LONG + " {1}", "--a", "2", "--b", "1"], 4)]
+
+
+@pytest.mark.parametrize("argv,pos", LONG_LITERALS, ids=["set", "AP", "repeat", "mod"])
+def test_cli_long_literal_is_a_usage_error(argv, pos, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "error: integer literal too long (at position %d)\n"
+                                   % pos)
+
+
 @pytest.mark.parametrize("argv,code,err", BUDGET_ERRORS,
                          ids=[" ".join(b[0][:2]) + " " + b[0][-1] for b in BUDGET_ERRORS])
 def test_cli_budget_and_horizon_errors(argv, code, err, capsys):

@@ -16,7 +16,7 @@ from linset.constructions import (
     sparse_interval_union,
     sqrt2_minus_one,
 )
-from linset.epset import EPSet, WindowCapExceeded, window_cap
+from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import LinearOp, apply_linear_op
 
 
@@ -123,6 +123,20 @@ def test_interval_gap_profile_grows():
     assert len(active) >= 3
     assert all(x < y for x, y in zip(active, active[1:]))
     assert all(x <= y for x, y in zip(gaps, gaps[1:]))
+
+
+def test_horizons_bounded_by_the_cap():
+    old = window_cap()
+    try:
+        set_window_cap(1000)
+        assert bohr_truncation(Fraction(1, 4001), Fraction(1), 999).horizon == 999
+        assert sparse_interval_union([2], Fraction(1000), 999).elems[-1] == 999
+        with pytest.raises(WindowCapExceeded):
+            bohr_truncation(Fraction(1, 4001), Fraction(1), 1000)
+        with pytest.raises(WindowCapExceeded):
+            sparse_interval_union([2], Fraction(1000), 1000)
+    finally:
+        set_window_cap(old)
 
 
 def test_finite_gamma():

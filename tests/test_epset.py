@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import epsets, random_epset
+from conftest import allocates_below, epsets, random_epset
 from linset._bits import _periodic_fill
 from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 
@@ -192,10 +192,12 @@ def test_unary_ops_match_oracle(s):
         check_oracle(s.dilate(n), oracle.dilate_bitmap(s, n, R))
 
 
-@given(epsets(), epsets())
+@given(epsets(), epsets(), epsets())
 @settings(max_examples=120, deadline=None)
-def test_union_matches_oracle(s, t):
+def test_union_matches_oracle(s, t, u):
     check_oracle(s.union(t), oracle.union_bitmap(s, t, R))
+    check_oracle(s.union(t, u), oracle.union_bitmap(s, t, R) | oracle.bitmap(u, -R, R))
+    assert s.union() == s
 
 
 @given(epsets(), epsets())
@@ -243,6 +245,27 @@ def test_pure_opposite_tails_sum_fully_periodic(s, t):
     r = up.minkowski(down)
     assert r == r.translate(r.period)
     assert r.is_fully_periodic()
+
+
+def test_sum_needs_only_the_periods_of_its_pieces():
+    # lcm(1025, 1024) = 1049600 passes the default cap of 2^20, but the up
+    # tail plus the down tail is all of Z, and the other pieces need only 1025
+    s = EPSet.half_line(0, 1025, 0)
+    t = EPSet.from_iterable([5]).union(EPSet.half_line_down(0, 1024, 0))
+    assert s.minkowski(t) == EPSet.integers()
+
+
+# each would build a mask of 10^8 bits (12.5 MB) if the cap were checked late
+@pytest.mark.parametrize("make", [
+    lambda: EPSet.half_line(1, 2, 1).dilate(10 ** 8),
+    lambda: EPSet.residue_class(10 ** 8 - 1, 10 ** 8),
+    lambda: EPSet.half_line(10 ** 8 - 1, 10 ** 8, 0),
+    lambda: EPSet.half_line_down(10 ** 8 - 1, 10 ** 8, 0),
+], ids=["dilate", "residue_class", "half_line", "half_line_down"])
+def test_cap_checked_before_large_masks(make):
+    with allocates_below(1 << 20):
+        with pytest.raises(WindowCapExceeded):
+            make()
 
 
 def test_window_cap_enforced():

@@ -9,8 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import allocates_below
 from linset import residue
-from linset.epset import EPSet, ResourceLimitExceeded, set_window_cap, window_cap
+from linset.epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, set_window_cap,
+                          window_cap)
 from linset.residue import (
     DecompositionCertificate,
     DecompositionFailure,
@@ -361,6 +363,16 @@ def test_sweep_input_contract():
     assert cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.int64)) == \
         cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.uint64))
     assert cardinality_sweep(5, 2, 1, masks=np.array([], dtype=np.uint64)) == (True, [])
+
+
+@pytest.mark.parametrize("make", [lambda g: ResidueSet(g, [g - 1]),
+                                  lambda g: ResidueSet.from_mask(g, 1)],
+                         ids=["init", "from_mask"])
+def test_modulus_past_the_cap_refused_before_its_mask(make):
+    with allocates_below(1 << 20):
+        with pytest.raises(WindowCapExceeded):
+            make(10 ** 8)
+    assert make(window_cap()).modulus == window_cap()
 
 
 def test_sweep_refuses_above_window_cap():
