@@ -3,6 +3,7 @@ integer sets, with residue-class structure theory and stability checks."""
 
 from .analysis import (
     DensityReport,
+    difference_fully_periodic_check,
     dplus,
     freiman_doubling_check,
     gap_bound_check,
@@ -37,7 +38,6 @@ from .residue import (
     ResidueSet,
     cardinality_check,
     decompose_equality_case,
-    difference_fully_periodic_check,
     gamma_mod,
     nonperiodic_absorption_check,
     period,

@@ -2,7 +2,10 @@
 
 One convention holds everywhere: a set of residues mod m, or of window
 offsets, is a plain int with bit r set iff r is a member.  EPSet windows
-and tails, ResidueSet and the numpy residue sweeps all use it.
+and tails, ResidueSet and the numpy residue sweeps all use it.  The
+residue image U -> aU + bU mod g of one set is one kernel on such masks,
+``_image``: the fully periodic step of ``apply_linear_op`` and the
+per-set residue functions call it.
 
 Every helper here is linear in the mask width, except ``convolve_or``,
 the one boolean convolution under all Minkowski pieces: a shift-or costs
@@ -146,16 +149,6 @@ def _min_period(m: int, *masks) -> int:
     return m
 
 
-def _circular_max_gap(mask: int, g: int) -> int:
-    # largest cyclic distance between consecutive set residues mod g
-    rs = list(_bits(mask))
-    if len(rs) == 1:
-        return g
-    gaps = [b - a for a, b in zip(rs, rs[1:])]
-    gaps.append(rs[0] + g - rs[-1])
-    return max(gaps)
-
-
 def _fold_mod(mask: int, d: int) -> int:
     # bit r of the input becomes bit r mod d; halves the chunk count per pass
     chunks = -(-mask.bit_length() // d)
@@ -173,6 +166,11 @@ def _class_sum(c1: int, c2: int, d: int) -> int:
     if c2 & (c2 - 1) == 0:
         return _rotate(c1, c2.bit_length() - 1, d) if c2 else 0
     return _fold_mod(convolve_or(c1, c2), d)
+
+
+def _image(mask: int, a: int, b: int, g: int) -> int:
+    """{a*x + b*y mod g : x, y in the residue mask}, for any integers a, b."""
+    return _class_sum(_spread(mask, a, g), _spread(mask, b, g), g)
 
 
 def convolve_or(m1: int, m2: int, width=None) -> int:

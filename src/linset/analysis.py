@@ -1,6 +1,6 @@
 """Classical additive checks: small-doubling, bounded gaps, the k-fold
-sumset dichotomy, and iterated positive difference sets with their
-stability-time bounds."""
+sumset dichotomy, full periodicity of semi-periodic differences, and
+iterated positive difference sets with their stability-time bounds."""
 
 from __future__ import annotations
 
@@ -153,6 +153,28 @@ def kneser_dichotomy(x: EPSet, k: int) -> DichotomyReport:
     ineq = d_xk >= k * d_closure - Fraction(k - 1, g)
     return DichotomyReport(k, 2, d_x, d_xk, g, closure, contains, semi,
                            tail_contained, ineq)
+
+
+@dataclass
+class DifferencePeriodicityReport:
+    modulus: int
+    semi_periodic_inputs: bool
+    fully_periodic: bool
+    difference: EPSet
+
+
+def difference_fully_periodic_check(a_set: EPSet, g: int, b_set: EPSet,
+                                    g2: int) -> DifferencePeriodicityReport:
+    """A semi-periodic mod g minus B semi-periodic mod g2 is fully periodic
+    modulo gcd(g, g2); verified by exact computation."""
+    ok_a = a_set.translate(g).subset_of(a_set)
+    ok_b = b_set.translate(g2).subset_of(b_set)
+    if not (ok_a and ok_b):
+        raise InputError("inputs must be semi-periodic for the stated moduli")
+    d = math.gcd(g, g2)
+    diff = a_set.minkowski(b_set.negate())
+    fully = diff == diff.translate(d)
+    return DifferencePeriodicityReport(d, True, fully, diff)
 
 
 def dplus(a: EPSet) -> EPSet:

@@ -360,11 +360,16 @@ def render_csv(rows, header) -> str:
 # full report's sorted (field, value) pairs; and the exit code.
 
 
-def _fraction(text: str) -> Fraction:
-    """A fraction option such as ``--delta 1/6``; InputError when malformed."""
+def _fraction(text: str, option: str) -> Fraction:
+    """The value of a fraction option such as ``--delta 1/6``; InputError
+    when malformed, naming the option when a digit run is past int()'s
+    digit limit."""
     try:
         return Fraction(text)
     except ValueError as e:
+        limit = sys.get_int_max_str_digits()
+        if limit and re.search(r"\d{%d}" % (limit + 1), text):
+            raise InputError("integer literal too long in %s" % option) from None
         raise InputError(str(e))
     except ZeroDivisionError:
         raise InputError("zero denominator in '%s'" % text)
@@ -496,7 +501,8 @@ def cmd_construct(args):
         }
         rows, header = list(enumerate(texts)), ("k", "set")
     elif kind == "bohr":
-        t = constructions.bohr_truncation(_fraction(args.alpha), _fraction(args.delta), args.N)
+        t = constructions.bohr_truncation(_fraction(args.alpha, "--alpha"),
+                                         _fraction(args.delta, "--delta"), args.N)
         points = {max(1, args.N * i // 10) for i in range(1, 11)}
         rows = [(n, int(d * n), str(d)) for n, d in density_profile(t.elems, points).profile]
         report = {"alpha": args.alpha, "delta": args.delta, "n": args.N,
@@ -505,8 +511,8 @@ def cmd_construct(args):
                   "set": t.to_expr()}
         header = ("n", "count", "density")
     elif kind == "sparse":
-        xs = [_fraction(x) for x in args.xs.split(",")]
-        t = constructions.sparse_interval_union(xs, _fraction(args.delta), args.N)
+        xs = [_fraction(x, "--xs") for x in args.xs.split(",")]
+        t = constructions.sparse_interval_union(xs, _fraction(args.delta, "--delta"), args.N)
         report = {"delta": args.delta, "n": args.N, "count": len(t), "set": t.to_expr()}
         rows, header = [(x,) for x in t.elems], ("element",)
     elif kind == "parity":

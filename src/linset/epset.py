@@ -16,9 +16,8 @@ import math
 import os
 from fractions import Fraction
 
-from ._bits import (_bits, _circular_max_gap, _class_sum, _fold_mod, _from_offsets,
-                    _min_period, _periodic_fill, _reflect, _reverse, _rotate, _spread,
-                    convolve_or)
+from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _min_period,
+                    _periodic_fill, _reflect, _reverse, _rotate, _spread, convolve_or)
 
 DEFAULT_WINDOW_CAP = 1 << 20
 
@@ -246,29 +245,16 @@ class EPSet:
         """Smallest element; None when empty or unbounded below."""
         if self.neg_tail:
             return None
-        if self.window:
-            return self.lo + ((self.window & -self.window).bit_length() - 1)
-        if self.pos_tail:
-            x = self.hi + 1
-            while (x - self.hi) <= self.period:
-                if (self.pos_tail >> (x % self.period)) & 1:
-                    return x
-                x += 1
-        return None
+        # past hi the upward tail meets each of its classes within one period
+        m = self.membership_mask(self.lo, self.hi + self.period)
+        return self.lo + (m & -m).bit_length() - 1 if m else None
 
     def max_element(self):
         """Largest element; None when empty or unbounded above."""
         if self.pos_tail:
             return None
-        if self.window:
-            return self.lo + self.window.bit_length() - 1
-        if self.neg_tail:
-            x = self.lo - 1
-            while (self.lo - x) <= self.period:
-                if (self.neg_tail >> (x % self.period)) & 1:
-                    return x
-                x -= 1
-        return None
+        m = self.membership_mask(self.lo - self.period, self.hi)
+        return self.lo - self.period + m.bit_length() - 1 if m else None
 
     def membership_mask(self, a: int, b: int) -> int:
         """Membership bits over [a, b] (bit i <-> a + i)."""
@@ -386,18 +372,11 @@ class EPSet:
             raise InputError("max_gap of the empty set is undefined")
         if not self.pos_tail:
             return math.inf
+        # every gap of a tail occurs within two periods of the window
         g = self.period
-        candidates = [_circular_max_gap(self.pos_tail, g)]
-        if self.neg_tail:
-            candidates.append(_circular_max_gap(self.neg_tail, g))
-            a = self.lo - 3 * g
-        else:
-            a = self.min_element()
-        b = self.hi + 3 * g
-        elems = self.elements_in(a, b)
-        if len(elems) >= 2:
-            candidates.append(max(y - x for x, y in zip(elems, elems[1:])))
-        return max(candidates)
+        elems = self.elements_in(self.lo - 2 * g if self.neg_tail else self.min_element(),
+                                 self.hi + 2 * g)
+        return max(y - x for x, y in zip(elems, elems[1:]))
 
     # -- textual form ----------------------------------------------------------
 

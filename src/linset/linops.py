@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epset import EPSet, InputError, window_cap
-from .residue import ResidueSet, gamma_mod
+from ._bits import _image, _periodic_fill
+from .epset import EPSet, InputError, check_window, window_cap
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,7 @@ class OpSequence:
 
     def constant_from(self, k: int) -> bool:
         """True when every available op at index >= k equals op_at(k)."""
-        if not self.ops:
-            return True
-        ref = self.op_at(k) if (self.cyclic or k < len(self.ops)) else None
-        if ref is None:
-            return True
-        tail = self.ops[k:] if k < len(self.ops) else ()
-        if any(op != ref for op in tail):
-            return False
-        if self.cyclic:
-            return all(op == ref for op in self.ops)
-        return True
+        return len(set(self.ops if self.cyclic else self.ops[k:])) <= 1
 
     @classmethod
     def repeat(cls, a: int, b: int, times: int, cyclic: bool = False,
@@ -107,7 +97,6 @@ class CoefficientExpansion:
     """
 
     terms: dict
-    size: int = 0
     lattice: "_Lattice | None" = field(default=None, repr=False, compare=False)
 
     def total_multiplicity(self) -> int:
@@ -202,9 +191,9 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     shape = tuple(sum(max(ea[j], eb[j]) for ea, eb in exps) + 1 for j in range(len(base)))
     cells = math.prod(shape)
     if cells > window_cap() or cells > _LATTICE_CELLS_PER_SPLIT << len(seq):
-        return CoefficientExpansion(terms=_expand_by_value(seq), size=len(seq))
+        return CoefficientExpansion(terms=_expand_by_value(seq))
     lattice = _expand_on_lattice(base, shape, exps)
-    return CoefficientExpansion(terms=lattice.terms(), size=len(seq), lattice=lattice)
+    return CoefficientExpansion(terms=lattice.terms(), lattice=lattice)
 
 
 def _coprime_base(values) -> list:
@@ -326,7 +315,7 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
         aS - bS = (aU - bU) + G*Z,   G = g * gcd(a, b),
 
     since a*g*Z - b*g*Z = G*Z.  With U read mod G, aU - bU mod G is
-    ``gamma_mod(U, a, -b)``; G past ``window_cap()`` raises
+    ``_image(U, a, -b, G)``; G past ``window_cap()`` raises
     ``WindowCapExceeded`` before any G-bit mask is built.  Every other S
     is the Minkowski sum of aS and -bS, which is refused when a dilated
     operand or the sum needs a window or period past the cap.
@@ -334,8 +323,10 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     if s.is_empty():
         return s
     if s.is_fully_periodic():
-        u = ResidueSet.of_periodic(s, s.period * math.gcd(op.a, op.b))
-        return gamma_mod(u, op.a, -op.b).to_epset()
+        G = s.period * math.gcd(op.a, op.b)
+        check_window(G)
+        m = _image(_periodic_fill(s.pos_tail, s.period, 0, G), op.a, -op.b, G)
+        return EPSet(G, 0, -1, 0, m, m)
     return s.dilate(op.a).minkowski(s.negate().dilate(op.b))
 
 

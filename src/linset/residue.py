@@ -9,10 +9,10 @@ Convention note: the decomposition places V in a1*G and X in b1*G with
 a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
 that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
-``ResidueSet.of_periodic``/``to_epset`` are the one conversion between a
-fully periodic EPSet U + gZ and its residues, and ``gamma_mod`` is the one
-residue-image kernel: ``linops.apply_linear_op`` maps such a set through
-both.
+``_bits._image`` is the one residue image: every function here computes on
+bare masks and builds a ``ResidueSet`` only for what it returns.  This
+module has no EPSet conversion; ``linops.apply_linear_op`` reads a fully
+periodic EPSet's residues and calls ``_image`` itself.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import (_bits, _class_sum, _fold_mod, _min_period, _periodic_fill,
-                    _rotate, _spread)
+from ._bits import _bits, _fold_mod, _image, _min_period, _periodic_fill, _rotate, _spread
 from ._orbit import orbit
-from .epset import EPSet, InputError, ResourceLimitExceeded, check_window, window_cap
+from .epset import InputError, ResourceLimitExceeded, check_window, window_cap
 
 
 def totient(n: int) -> int:
@@ -110,19 +109,6 @@ class ResidueSet:
             raise InputError("%d does not divide %d" % (d, modulus))
         return cls.from_mask(modulus, _periodic_fill(1, d, 0, modulus))
 
-    @classmethod
-    def of_periodic(cls, s: EPSet, modulus: int) -> "ResidueSet":
-        """Residues mod ``modulus`` of a fully periodic EPSet whose period
-        divides it."""
-        if not s.is_fully_periodic() or modulus % s.period:
-            raise InputError("need a fully periodic set whose period divides %d" % modulus)
-        check_window(modulus)
-        return cls.from_mask(modulus, _periodic_fill(s.pos_tail, s.period, 0, modulus))
-
-    def to_epset(self) -> EPSet:
-        """The fully periodic set U + gZ."""
-        return EPSet(self.modulus, 0, -1, 0, self.mask, self.mask)
-
     def translate(self, c: int) -> "ResidueSet":
         return ResidueSet.from_mask(self.modulus, _rotate(self.mask, c, self.modulus))
 
@@ -136,9 +122,7 @@ class ResidueSet:
 def gamma_mod(u: ResidueSet, a: int, b: int) -> ResidueSet:
     """{a*x + b*y mod g : x, y in U}, for any integers a, b (b < 0 gives
     aU - |b|U)."""
-    g = u.modulus
-    return ResidueSet.from_mask(g, _class_sum(_spread(u.mask, a, g),
-                                              _spread(u.mask, b, g), g))
+    return ResidueSet.from_mask(u.modulus, _image(u.mask, a, b, u.modulus))
 
 
 def period_shift(u: ResidueSet) -> int:
@@ -157,8 +141,8 @@ def cardinality_check(u: ResidueSet, a: int, b: int):
     """(|U|, |aU + bU|, |aU+bU| >= |U|); requires gcd(a, b) = 1."""
     if math.gcd(a, b) != 1:
         raise InputError("coefficients must be coprime")
-    image = gamma_mod(u, a, b)
-    return len(u), len(image), len(image) >= len(u)
+    n = _image(u.mask, a, b, u.modulus).bit_count()
+    return len(u), n, n >= len(u)
 
 
 @dataclass(frozen=True)
@@ -219,15 +203,15 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
         return DecompositionFailure("empty set")
     g = u.modulus
     translation = (u.mask & -u.mask).bit_length() - 1
-    u0 = u.translate(-translation)
-    if math.gcd(g, *u0) != 1:
+    u0 = _rotate(u.mask, -translation, g)
+    if math.gcd(g, *_bits(u0)) != 1:
         return DecompositionFailure("contained in a proper subgroup")
-    if len(gamma_mod(u, a, b)) != len(u):
+    if _image(u.mask, a, b, g).bit_count() != len(u):
         return DecompositionFailure("cardinality not preserved")
 
-    step = period_shift(u0)       # H = step*G, |H| = g // step
+    step = _min_period(g, u0)     # H = step*G, |H| = g // step
     g1 = step                     # order of G / H
-    u1 = _fold_mod(u0.mask, g1)
+    u1 = _fold_mod(u0, g1)
     a1 = math.gcd(g1, a)
     b1 = math.gcd(g1, b)
     if a1 * b1 != g1:
@@ -281,24 +265,28 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     """
     if math.gcd(a, b) != 1:
         raise InputError("coefficients must be coprime")
-    states = [u]
-    closure = orbit(lambda k, x: gamma_mod(x, a, b), states, max_steps)
+    g = u.modulus
+    masks = [u.mask]
+    # hash(int) is the int mod 2^61 - 1, so the one-bit masks 1 << k alone
+    # would share 61 hash values; the top bit keys them apart
+    closure = orbit(lambda k, m: _image(m, a, b, g), masks, max_steps,
+                    key=lambda k, m: (m, m.bit_length()))
     if closure is None:
         raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
     onset, length = closure
     # the image of cycle[i] is cycle[i + 1], and that of the last is cycle[0]
-    cycle = states[onset:]
+    cycle = masks[onset:]
     images = cycle[1:] + cycle[:1]
-    size = len(cycle[0])
-    preserved = all(len(s) == size for s in cycle)
+    size = cycle[0].bit_count()
+    preserved = all(m.bit_count() == size for m in cycle)
     divisibility = None
-    g = u.modulus
-    for s, image in zip(cycle, images):
-        if not (s.mask & 1) or math.gcd(g, *s) != 1:
+    for m, image in zip(cycle, images):
+        if not (m & 1) or math.gcd(g, *_bits(m)) != 1:
             continue
-        if len(image) == len(s):
+        if image.bit_count() == m.bit_count():
             divisibility = (totient(a) * totient(b)) % length == 0
             break
+    states = [ResidueSet.from_mask(g, m) for m in masks]
     return ResidueOrbit(states, onset, length, preserved, divisibility)
 
 
@@ -317,36 +305,13 @@ def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionRep
     g = x.modulus
     if not (x.mask & 1):
         return AbsorptionReport(False, "0 not a member", None, None)
-    if period_shift(x) != g:
+    if _min_period(g, x.mask) != g:
         return AbsorptionReport(False, "set is periodic", None, None)
-    ax = ResidueSet.from_mask(g, _spread(x.mask, a, g))
-    if gamma_mod(x, a, b) != ax:
+    if _image(x.mask, a, b, g) != _spread(x.mask, a, g):
         return AbsorptionReport(False, "aX + bX differs from aX", None, None)
     step = g // math.gcd(g, b)
     holds = all(t % step == 0 for t in x)
     return AbsorptionReport(True, None, step, holds)
-
-
-@dataclass
-class DifferencePeriodicityReport:
-    modulus: int
-    semi_periodic_inputs: bool
-    fully_periodic: bool
-    difference: EPSet
-
-
-def difference_fully_periodic_check(a_set: EPSet, g: int, b_set: EPSet,
-                                    g2: int) -> DifferencePeriodicityReport:
-    """A semi-periodic mod g minus B semi-periodic mod g2 is fully periodic
-    modulo gcd(g, g2); verified by exact computation."""
-    ok_a = a_set.translate(g).subset_of(a_set)
-    ok_b = b_set.translate(g2).subset_of(b_set)
-    if not (ok_a and ok_b):
-        raise InputError("inputs must be semi-periodic for the stated moduli")
-    d = math.gcd(g, g2)
-    diff = a_set.minkowski(b_set.negate())
-    fully = diff == diff.translate(d)
-    return DifferencePeriodicityReport(d, True, fully, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,12 @@ def test_cli_long_literal_is_a_usage_error(argv, pos, capsys):
                                    % pos)
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--delta"])
+def test_cli_long_fraction_option_is_a_usage_error(option, capsys):
+    assert run(["construct", "--kind", "bohr", option, "1/" + LONG, "--N", "5"]) == 3
+    assert capsys.readouterr() == ("", "error: integer literal too long in %s\n" % option)
+
+
 @pytest.mark.parametrize("argv,code,err", BUDGET_ERRORS,
                          ids=[" ".join(b[0][:2]) + " " + b[0][-1] for b in BUDGET_ERRORS])
 def test_cli_budget_and_horizon_errors(argv, code, err, capsys):

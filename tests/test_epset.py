@@ -297,6 +297,29 @@ def test_max_gap_matches_windowed_oracle(s):
             assert observed == g
 
 
+@given(epsets(max_period=10))
+@settings(max_examples=300, deadline=None)
+@example(EPSet.half_line(2, 5, 2))
+@example(EPSet.half_line_down(3, 7, -1))
+def test_queries_match_membership(s):
+    # the window lies in [-24, 48] and the period is at most 10, so [-B, B]
+    # shows every element of a bounded side and two full periods of a tail
+    B = 120
+    xs = [x for x in range(-B, B + 1) if oracle.member(s, x)]
+    below = any(oracle.member(s, x) for x in range(-B, -B + 10))
+    above = any(oracle.member(s, x) for x in range(B - 10, B))
+    assert s.min_element() == (None if below or not xs else xs[0])
+    assert s.max_element() == (None if above or not xs else xs[-1])
+    if not xs:
+        with pytest.raises(ValueError):
+            s.max_gap()
+    else:
+        gaps = [y - x for x, y in zip(xs, xs[1:])]
+        assert s.max_gap() == (max(gaps) if above else math.inf)
+    near = [x for x in xs if -7 <= x <= 9]
+    assert s.max_gap(within=(-7, 9)) == max((y - x for x, y in zip(near, near[1:])), default=0)
+
+
 @given(epsets())
 @settings(max_examples=100, deadline=None)
 def test_equal_sets_share_hash(s):

@@ -219,6 +219,19 @@ def test_op_sequence_validation():
     assert OpSequence.repeat(2, 1, 4, cyclic=True).constant_from(1)
 
 
+def test_constant_from_matches_op_at():
+    # every available op at index >= k, read through op_at: the rest of the
+    # list, or one full cycle for a cyclic sequence
+    for n in range(5):
+        for ops in product(((1, 1), (2, 1), (3, 2)), repeat=n):
+            for cyclic in (False, True):
+                seq = OpSequence(ops, cyclic=cyclic)
+                for k in range(2 * n + 3):
+                    avail = [seq.op_at(j) for j in range(k, k + n if cyclic else n)]
+                    want = all(op == seq.op_at(k) for op in avail)
+                    assert seq.constant_from(k) == want, (ops, cyclic, k)
+
+
 @given(epsets(max_period=8, span=12), st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_linear_op_matches_oracle(s, a, b):
@@ -275,7 +288,13 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
     def spy(self, other):
         calls.append((self, other))
         return real(self, other)
+
+    def refuse(*args):
+        raise AssertionError("the periodic step built a ResidueSet")
     monkeypatch.setattr(EPSet, "minkowski", spy)
+    # the periodic step is one residue image on bare masks
+    monkeypatch.setattr(ResidueSet, "__init__", refuse)
+    monkeypatch.setattr(ResidueSet, "from_mask", classmethod(refuse))
     for s in (EPSet.residue_class(1, 7), _periodic(12, 0b100100010011),
               EPSet.integers(), _periodic(300, (1 << 299) | 5)):
         for a, b in ((3, 1), (2, 5), (6, 4)):
@@ -291,25 +310,6 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
         assert len(calls) == k
 
 
-def test_residue_set_periodic_round_trip():
-    for g, mask in ((1, 0), (1, 1), (7, 0b1010011), (12, 0b100100100100), (300, 1 << 299)):
-        s = _periodic(g, mask)
-        u = ResidueSet.of_periodic(s, s.period)
-        assert u.to_epset() == s
-        assert ResidueSet.of_periodic(u.to_epset(), u.modulus) == u
-        # read mod a multiple of the period: the residues lift, the set stays
-        lifted = ResidueSet.of_periodic(s, 3 * s.period)
-        assert lifted.modulus == 3 * s.period
-        assert set(lifted) == {x for x in range(3 * s.period) if x in s}
-        assert lifted.to_epset() == s
-    # a canonical EPSet has the minimal period, so mod 12 {0, 6} reads back mod 6
-    assert ResidueSet.from_mask(12, 0b1000001).to_epset() == EPSet.residue_class(0, 6)
-    with pytest.raises(ValueError):
-        ResidueSet.of_periodic(EPSet.naturals(), 1)
-    with pytest.raises(ValueError):
-        ResidueSet.of_periodic(EPSet.residue_class(0, 4), 6)
-
-
 def test_periodic_fast_path_cap():
     # the answer's period G = 400 fits a cap of 1000 although 3 * 400 does
     # not: the Minkowski path refused this input for its dilated operand
@@ -323,9 +323,6 @@ def test_periodic_fast_path_cap():
         with pytest.raises(WindowCapExceeded) as err:
             apply_linear_op(LinearOp(3, 3), x)
         assert (err.value.requested, err.value.cap) == (1200, 1000)
-        # the conversion itself refuses, before it builds the 1200-bit mask
-        with pytest.raises(WindowCapExceeded):
-            ResidueSet.of_periodic(x, 1200)
     finally:
         set_window_cap(old)
     assert got == x.dilate(3).minkowski(x.negate())

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import allocates_below
 from linset import residue
+from linset.analysis import difference_fully_periodic_check
 from linset.epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, set_window_cap,
                           window_cap)
 from linset.residue import (
@@ -20,7 +21,6 @@ from linset.residue import (
     cardinality_check,
     cardinality_sweep,
     decompose_equality_case,
-    difference_fully_periodic_check,
     gamma_mod,
     multiplicative_order,
     nonperiodic_absorption_check,
@@ -167,6 +167,18 @@ def test_one_bit_masks_hash_apart():
     # one-element states of a large modulus must not collide there
     g = 20023
     assert len({hash(ResidueSet.from_mask(g, 1 << k)) for k in range(g)}) == g
+
+
+def test_residue_layer_builds_no_epset(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the residue layer built an EPSet")
+    monkeypatch.setattr(EPSet, "__init__", refuse)
+    assert residue_orbit(U12, 4, 3).order_divisibility is True
+    assert isinstance(decompose_equality_case(U12, 4, 3), DecompositionCertificate)
+    assert cardinality_check(U12, 4, 3) == (6, 6, True)
+    assert cardinality_sweep(6, 2, 1)[0]
+    assert cardinality_sweep(6, 2, 1, masks=np.array([5, 9], dtype=np.uint64))[0]
+    assert nonperiodic_absorption_check(ResidueSet(6, [0]), 5, 2).holds
 
 
 def test_absorption_examples():
