@@ -93,10 +93,20 @@ class EPSet:
 
     ``window`` is a bitmask over [lo, hi]; ``neg_tail``/``pos_tail`` are
     residue bitmasks mod ``period``.  The constructor accepts any valid
-    representation and canonicalizes it: the period is minimized, the
-    window is trimmed so its end bits disagree with the adjacent tail
-    rule, and fully periodic sets are normalized to an empty window at
-    lo=0.  Values are immutable; do not mutate fields after creation.
+    representation and canonicalizes it without stepping through
+    positions: the period is minimized, and the window is trimmed by two
+    split rules.
+
+    - ``lo`` is the first point of the given window that breaks the lower
+      rule.  If every point keeps it, the window becomes empty at the
+      first point above the given window where the two tail rules differ.
+    - ``hi`` is the last point of the given window that breaks the upper
+      rule, or ``lo - 1`` (an empty window) when none lies at or above lo.
+
+    So the end bits of a nonempty window disagree with the adjacent tail
+    rule, and an empty window sits where the rules split.  Fully periodic
+    sets are normalized to an empty window at lo=0.  Values are
+    immutable; do not mutate fields after creation.
     """
 
     __slots__ = ("period", "lo", "hi", "window", "neg_tail", "pos_tail", "_hash")
@@ -122,10 +132,8 @@ class EPSet:
         neg = neg_tail & sub
         pos = pos_tail & sub
 
-        neg_fill = _periodic_fill(neg, d, lo, width)
-        pos_fill = _periodic_fill(pos, d, lo, width)
-        bad_neg = window ^ neg_fill
-        bad_pos = window ^ pos_fill
+        bad_neg = window ^ _periodic_fill(neg, d, lo, width)
+        bad_pos = window ^ _periodic_fill(pos, d, lo, width)
 
         if bad_neg == 0 and neg == pos:
             # fully periodic (covers the empty set and all of Z)
@@ -134,35 +142,19 @@ class EPSet:
             self._hash = None
             return
 
-        diff = neg ^ pos
+        # the two split rules of the class docstring: bit i of the rotated
+        # diff is residue hi + 1 + i, and one is set as neg != pos here;
+        # with bad_pos == 0 the first bound of new_hi is lo - 1 < new_lo
         if bad_neg:
-            new_lo = lo + ((bad_neg & -bad_neg).bit_length() - 1)
+            new_lo = lo + (bad_neg & -bad_neg).bit_length() - 1
         else:
-            # window matches the lower rule; first point past hi where rules split
-            i = 0
-            while not (diff >> ((hi + 1 + i) % d)) & 1:
-                i += 1
-            new_lo = hi + 1 + i
-        if bad_pos:
-            new_hi = lo + bad_pos.bit_length() - 1
-        else:
-            i = 1
-            while not (diff >> ((lo - i) % d)) & 1:
-                i += 1
-            new_hi = lo - i
-        new_hi = max(new_hi, new_lo - 1)
-
-        # rebuild window bits on [new_lo, new_hi]; the range sits in [lo, hi + d]
-        new_window = 0
-        ov_hi = min(new_hi, hi)
-        if new_lo <= ov_hi:
-            new_window = (window >> (new_lo - lo)) & ((1 << (ov_hi - new_lo + 1)) - 1)
-        if new_hi > hi:
-            start = max(new_lo, hi + 1)
-            new_window |= _periodic_fill(pos, d, start, new_hi - start + 1) << (start - new_lo)
+            up = _rotate(neg ^ pos, -(hi + 1), d)
+            new_lo = hi + (up & -up).bit_length()
+        new_hi = max(lo + bad_pos.bit_length() - 1, new_lo - 1)
 
         self.period, self.lo, self.hi = d, new_lo, new_hi
-        self.window, self.neg_tail, self.pos_tail = new_window, neg, pos
+        self.window = _mask((d, lo, hi, window, neg, pos), new_lo, new_hi)
+        self.neg_tail, self.pos_tail = neg, pos
         self._hash = None
 
     # -- constructors -------------------------------------------------------

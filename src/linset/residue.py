@@ -196,9 +196,10 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     Returns a DecompositionCertificate (already verified) or a
     DecompositionFailure naming the violated hypothesis.  U is translated
     so that 0 is a member; the certificate records the translation.
+    Requires gcd(a, b) = 1.
     """
     if math.gcd(a, b) != 1:
-        return DecompositionFailure("coefficients not coprime")
+        raise InputError("coefficients must be coprime")
     if not u.mask:
         return DecompositionFailure("empty set")
     g = u.modulus
@@ -380,10 +381,6 @@ def _image_table(g: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
-
-
 def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
     """Check |aU + bU| >= |U| over many subsets at once.
 
@@ -411,7 +408,7 @@ def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
             raise InputError("masks must lie in [0, 2^%d)" % g)
         masks = masks.astype(_mask_dtype(g))
         images = _image_masks(masks, g, a, b)
-    pc_u = _popcounts(masks)
-    pc_im = _popcounts(images)
+    pc_u = np.bitwise_count(masks)
+    pc_im = np.bitwise_count(images)
     eq = masks[(pc_im == pc_u) & (pc_u > 0)]
     return bool(np.all(pc_im >= pc_u)), eq.tolist()

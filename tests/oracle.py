@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from itertools import product
 
+from linset._bits import _min_period, _periodic_fill
 from linset.analysis import dplus
 from linset.epset import ResourceLimitExceeded, WindowCapExceeded
 from linset.linops import apply_linear_op
@@ -161,6 +162,49 @@ def coefficient_expansion(pairs):
     for choice in product(*[(a, -b) for a, b in pairs]):
         counts[math.prod(choice)] += 1
     return dict(counts)
+
+
+# -- the canonical form that EPSet's loop-free trim replaced -------------------
+# The constructor body as it stood when it walked the period bit by bit to
+# find where the tail rules split, kept as the reference for ``_key()``.
+
+def canonical_key(period, lo, hi, window, neg_tail, pos_tail):
+    width = hi - lo + 1
+    d = _min_period(period, neg_tail, pos_tail)
+    sub = (1 << d) - 1
+    neg = neg_tail & sub
+    pos = pos_tail & sub
+
+    bad_neg = window ^ _periodic_fill(neg, d, lo, width)
+    bad_pos = window ^ _periodic_fill(pos, d, lo, width)
+    if bad_neg == 0 and neg == pos:
+        return (d, 0, -1, 0, neg, pos)
+
+    diff = neg ^ pos
+    if bad_neg:
+        new_lo = lo + ((bad_neg & -bad_neg).bit_length() - 1)
+    else:
+        i = 0
+        while not (diff >> ((hi + 1 + i) % d)) & 1:
+            i += 1
+        new_lo = hi + 1 + i
+    if bad_pos:
+        new_hi = lo + bad_pos.bit_length() - 1
+    else:
+        i = 1
+        while not (diff >> ((lo - i) % d)) & 1:
+            i += 1
+        new_hi = lo - i
+    new_hi = max(new_hi, new_lo - 1)
+
+    new_window = 0
+    ov_hi = min(new_hi, hi)
+    if new_lo <= ov_hi:
+        new_window = (window >> (new_lo - lo)) & ((1 << (ov_hi - new_lo + 1)) - 1)
+    if new_hi > hi:
+        start = max(new_lo, hi + 1)
+        new_window |= _periodic_fill(pos, d, start, new_hi - start + 1) << (start - new_lo)
+    return (d, new_lo, new_hi, new_window, neg, pos)
 
 
 # -- the orbit loops that linset._orbit.orbit replaced -------------------------

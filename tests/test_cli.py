@@ -421,6 +421,8 @@ FAILURE_MODES = [
     ("usage", ["nonsense"], None, 3, "usage error: argument command: invalid choice"),
     ("input", ["residue", "--set", "mod 12 {0,3,4}", "--a", "2", "--b", "4"], None,
      3, "error: coefficients must be coprime"),
+    ("decompose-input", ["decompose", "--set", "mod 4 {0,1}", "--a", "3", "--b", "3"], None,
+     3, "error: coefficients must be coprime"),
     ("syntax", ["iterate", "--set", "AP(1,", "--ops", "(2,1)"], None,
      3, "error: expected an integer (at position 5)"),
     ("construct-fraction", ["construct", "--kind", "bohr", "--alpha", "1/0"], None,

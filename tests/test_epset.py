@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import oracle
 from conftest import allocates_below, epsets, random_epset
 from linset._bits import _periodic_fill
-from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
+from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, WindowCapExceeded, set_window_cap,
+                          window_cap)
 
 R = 200  # comparison radius for oracle checks
 
@@ -78,6 +80,88 @@ def test_canonical_window_is_tight(s):
         low_ok = (s.window & 1) != ((s.neg_tail >> (s.lo % s.period)) & 1)
         high_ok = ((s.window >> (width - 1)) & 1) != ((s.pos_tail >> (s.hi % s.period)) & 1)
         assert low_ok and high_ok
+
+
+# periods up to 200 with many divisors, so tails often repeat within one
+RICH_PERIODS = (1, 2, 4, 6, 12, 24, 36, 48, 60, 72, 96, 120, 144, 180, 192, 200)
+
+
+@st.composite
+def raw_forms(draw):
+    """A raw representation (period, lo, hi, window, neg_tail, pos_tail):
+    tails that may repeat within a divisor of the period, a window that is
+    empty, keeps the lower rule, the upper rule, both or neither, and may
+    then have one bit flipped."""
+    g = draw(st.one_of(st.sampled_from(RICH_PERIODS), st.integers(1, 200)))
+    divisors = [e for e in range(1, g + 1) if g % e == 0]
+
+    def tail():
+        d = draw(st.sampled_from(divisors))
+        return _periodic_fill(draw(st.integers(0, (1 << d) - 1)), d, 0, g)
+    neg = tail()
+    kind = draw(st.sampled_from(("neg", "pos", "both", "neither")))
+    pos = neg if kind == "both" or draw(st.integers(0, 3)) == 0 else tail()
+    lo = draw(st.integers(-3 * g - 40, 3 * g + 40))
+    width = draw(st.one_of(st.just(0), st.integers(0, 3 * g + 4)))
+    if kind == "neither":
+        window = draw(st.integers(0, (1 << width) - 1))
+    else:
+        window = _periodic_fill(pos if kind == "pos" else neg, g, lo, width)
+    if width and draw(st.booleans()):
+        window ^= 1 << draw(st.integers(0, width - 1))
+    return g, lo, lo + width - 1, window, neg, pos
+
+
+def rule_bit(tail, x, d):
+    return (tail >> (x % d)) & 1
+
+
+@given(raw_forms())
+@example((5, 0, -1, 0, 0b00000, 0b00001))    # half_line(0, 5, 0)
+@example((5, 1, 0, 0, 0b00001, 0b00000))     # half_line_down(0, 5, 0)
+@example((12, -7, -2, 0b100100, 0b001001001001, 0b000010000010))
+@settings(max_examples=500, deadline=None)
+def test_canonical_form_matches_reference(raw):
+    s = EPSet(*raw)
+    key = s._key()
+    assert key == oracle.canonical_key(*raw)
+    assert EPSet(*key)._key() == key
+
+    g, lo, hi = raw[:3]
+    d = s.period
+    assert g % d == 0
+    # the same set: both follow tail rules of periods dividing g past the
+    # checked range, which reaches two periods beyond both windows
+    a, b = min(lo, s.lo) - 2 * g, max(hi, s.hi) + 2 * g
+    given_form = SimpleNamespace(period=g, lo=lo, hi=hi, window=raw[3],
+                                 neg_tail=raw[4], pos_tail=raw[5])
+    assert s.membership_mask(a, b) == oracle.bitmap(given_form, a, b)
+    # the period is minimal: every proper divisor breaks one tail
+    for e in range(1, d):
+        if d % e == 0:
+            assert any(rule_bit(t, r, d) != rule_bit(t, r + e, d)
+                       for t in (s.neg_tail, s.pos_tail) for r in range(d))
+    # each window end breaks its adjacent tail rule; an empty window sits
+    # where the rules split, and a fully periodic set has none
+    if s.lo <= s.hi:
+        assert oracle.member(s, s.lo) != rule_bit(s.neg_tail, s.lo, d)
+        assert oracle.member(s, s.hi) != rule_bit(s.pos_tail, s.hi, d)
+    elif s.neg_tail != s.pos_tail:
+        assert rule_bit(s.neg_tail, s.lo, d) != rule_bit(s.pos_tail, s.lo, d)
+    else:
+        assert (s.lo, s.hi, s.window) == (0, -1, 0)
+
+
+def test_half_lines_at_default_cap():
+    # the split point of the tail rules lies a whole period from the start
+    old = window_cap()
+    set_window_cap(DEFAULT_WINDOW_CAP)
+    try:
+        g = window_cap()
+        assert EPSet.half_line(0, g, 0)._key() == (g, 0, -1, 0, 0, 1)
+        assert EPSet.half_line_down(0, g, 0)._key() == (g, g, g - 1, 0, 1, 0)
+    finally:
+        set_window_cap(old)
 
 
 def test_window_end_is_part_of_identity():

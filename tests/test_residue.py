@@ -12,8 +12,8 @@ import pytest
 from conftest import allocates_below
 from linset import residue
 from linset.analysis import difference_fully_periodic_check
-from linset.epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, set_window_cap,
-                          window_cap)
+from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
+                          set_window_cap, window_cap)
 from linset.residue import (
     DecompositionCertificate,
     DecompositionFailure,
@@ -125,8 +125,8 @@ def test_decompose_failure_reports():
     r = decompose_equality_case(ResidueSet(8, [0, 2, 4, 6]), 3, 1)
     assert isinstance(r, DecompositionFailure)
     assert r.hypothesis == "contained in a proper subgroup"
-    r = decompose_equality_case(ResidueSet(4, [0, 2]), 2, 2)
-    assert r.hypothesis == "coefficients not coprime"
+    with pytest.raises(InputError, match="coefficients must be coprime"):
+        decompose_equality_case(ResidueSet(4, [0, 2]), 2, 2)
 
 
 def test_decompose_full_group():
