@@ -125,28 +125,35 @@ def _periodic_fill(classes: int, m: int, start: int, length: int) -> int:
     return filled & ((1 << length) - 1)
 
 
-def _divisors(n: int) -> list:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def _min_period(m: int, *masks) -> int:
     """Smallest divisor d of m under which every residue mask mod m is
-    rotation-invariant (d == m when none smaller is)."""
-    for d in _divisors(m)[:-1]:
-        for x in masks:
-            if _rotate(x, d, m) != x:
+    rotation-invariant (d == m when none smaller is).
+
+    The invariant divisors are exactly the multiples of the least one, so
+    it is reached from m by dividing out one prime factor at a time while
+    the masks stay invariant: a test per prime factor of m, however many
+    divisors m has.  A mask is invariant under a divisor k of m iff bit i
+    equals bit i + k for every i < m - k."""
+    d = rest = m
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest        # the last prime factor
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while d % p == 0:
+                k = d // p
+                low = (1 << (m - k)) - 1
+                for x in masks:
+                    if x >> k != x & low:
+                        break
+                else:
+                    d = k
+                    continue
                 break
-        else:
-            return d
-    return m
+        p += 1
+    return d
 
 
 def _fold_mod(mask: int, d: int) -> int:

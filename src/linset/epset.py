@@ -316,7 +316,21 @@ class EPSet:
         if self.is_empty() or other.is_empty():
             return EPSet.empty()
         s, t = self._key(), other._key()
-        pieces = _up_pieces(s, t)
+        # opposite tails first: they fill whole classes mod d, and when
+        # those are all the classes the sum is Z; else they spare the
+        # tail+tail pieces that lie inside them
+        d = math.gcd(s[0], t[0])
+        pieces = []
+        if self.pos_tail and other.neg_tail:
+            pieces.append(_sum_cross(s, t))
+        if other.pos_tail and self.neg_tail:
+            pieces.append(_sum_cross(t, s))
+        cover = 0
+        for p in pieces:
+            cover |= p[5]
+        if cover == (1 << d) - 1:
+            return EPSet.integers()
+        pieces += _up_pieces(s, t, cover)
         if self.window and other.window:
             pieces.append(_sum_windows(s, t))
         if self.neg_tail or other.neg_tail:
@@ -324,11 +338,7 @@ class EPSet:
             # window only when the other operand has a downward tail
             ns = _negated(s[:3] + (s[3] if other.neg_tail else 0, s[4], 0))
             nt = _negated(t[:3] + (t[3] if self.neg_tail else 0, t[4], 0))
-            pieces += map(_negated, _up_pieces(ns, nt))
-        if self.pos_tail and other.neg_tail:
-            pieces.append(_sum_cross(s, t))
-        if other.pos_tail and self.neg_tail:
-            pieces.append(_sum_cross(t, s))
+            pieces += map(_negated, _up_pieces(ns, nt, _reflect(cover, d)))
         return _union(pieces)
 
     def __add__(self, other):
@@ -410,7 +420,11 @@ class EPSet:
 # finite piece, a window and an upward tail or two upward tails to a piece
 # with an explicit window below a periodic upward tail, and opposite tails to
 # full residue classes.  Downward pieces are the upward pieces of the
-# negated operands, negated.  Two upward tails of periods m1, m2 (d = gcd)
+# negated operands, negated.  Every tail+tail piece has its classes mod the
+# same d = gcd of the operand periods, so ``minkowski`` builds the two cross
+# pieces first: when they cover every class mod d the sum is Z, and no other
+# piece is built; else an up+up or down+down piece whose classes they cover
+# adds nothing and is skipped.  Two upward tails of periods m1, m2 (d = gcd)
 # saturate within a span of m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first
 # elements, the Frobenius bound of m1/d and m2/d scaled by d
 # (``_sum_up_up``); canonicalization removes any slack afterwards.
@@ -456,15 +470,19 @@ def _union(pieces):
     return EPSet(g, lo, hi, window, neg, pos)
 
 
-def _up_pieces(s, t):
-    """The pieces of s + t that are bounded below and not finite."""
+def _up_pieces(s, t, cover):
+    """The pieces of s + t that are bounded below and not finite, but for
+    an up+up piece whose classes mod gcd(periods) all lie in ``cover``."""
     pieces = []
     if s[3] and t[5]:
         pieces.append(_sum_window_up(s, t))
     if t[3] and s[5]:
         pieces.append(_sum_window_up(t, s))
     if s[5] and t[5]:
-        pieces.append(_sum_up_up(s, t))
+        d = math.gcd(s[0], t[0])
+        q = _class_sum(_fold_mod(s[5], d), _fold_mod(t[5], d), d)
+        if q & ~cover:
+            pieces.append(_sum_up_up(s, t, d, q))
     return pieces
 
 
@@ -493,10 +511,11 @@ def _sum_window_up(s, t):
     return (m, h + 1 + wmin, h + wmax, emask, 0, shifted)
 
 
-def _sum_up_up(s, t):
+def _sum_up_up(s, t, d, q):
+    """(upward tail of s) + (upward tail of t), whose classes are ``q`` mod
+    d = gcd(periods)."""
     m1, _, h1, _, _, c1 = s
     m2, _, h2, _, _, c2 = t
-    d = math.gcd(m1, m2)
     # beyond first elements plus the Frobenius bound of m1/d, m2/d (scaled
     # by d), every class value r1 + r2 mod d is reachable
     frob = (m1 // d - 1) * (m2 // d - 1) * d
@@ -506,7 +525,6 @@ def _sum_up_up(s, t):
     t1 = _periodic_fill(c1, m1, h1 + 1, span)
     t2 = _periodic_fill(c2, m2, h2 + 1, span)
     emask = convolve_or(t1, t2, span)
-    q = _class_sum(_fold_mod(c1, d), _fold_mod(c2, d), d)
     return (d, expl_lo, expl_lo + span - 1, emask, 0, q)
 
 

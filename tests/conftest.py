@@ -30,11 +30,17 @@ def allocates_below(limit: int):
 
 
 @st.composite
-def epsets(draw, max_period: int = 12, span: int = 24):
+def epsets(draw, max_period: int = 12, span: int = 24, tail_bits=None):
+    """An EPSet with a period up to ``max_period`` and a window inside
+    [-span, 2 * span]; with ``tail_bits``, each tail has at most that many
+    residues, so that sparse tails leave classes uncovered."""
     g = draw(st.integers(1, max_period))
     lo = draw(st.integers(-span, span))
     width = draw(st.integers(0, span))
     window = draw(st.integers(0, (1 << width) - 1)) if width else 0
-    neg = draw(st.integers(0, (1 << g) - 1))
-    pos = draw(st.integers(0, (1 << g) - 1))
-    return EPSet(g, lo, lo + width - 1, window, neg, pos)
+    if tail_bits is None:
+        tail = st.integers(0, (1 << g) - 1)
+    else:
+        tail = st.lists(st.integers(0, g - 1), max_size=tail_bits).map(
+            lambda rs: sum(1 << r for r in set(rs)))
+    return EPSet(g, lo, lo + width - 1, window, draw(tail), draw(tail))

@@ -11,9 +11,10 @@ import math
 from collections import Counter
 from itertools import product
 
-from linset._bits import _min_period, _periodic_fill
+from linset._bits import _periodic_fill, _rotate
 from linset.analysis import dplus
-from linset.epset import ResourceLimitExceeded, WindowCapExceeded
+from linset.epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, _negated,
+                          _sum_cross, _sum_windows, _union, _up_pieces)
 from linset.linops import apply_linear_op
 from linset.residue import ResidueOrbit, gamma_mod, totient
 from linset.stability import IterationTrace, full_periodicity_onset
@@ -164,13 +165,59 @@ def coefficient_expansion(pairs):
     return dict(counts)
 
 
+# -- the divisor scan that _bits._min_period's prime descent replaced ----------
+
+def divisors(n):
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i * i != n:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
+
+
+def min_period(m, *masks):
+    for d in divisors(m)[:-1]:
+        for x in masks:
+            if _rotate(x, d, m) != x:
+                break
+        else:
+            return d
+    return m
+
+
+# -- the Minkowski sum that builds every piece ---------------------------------
+# EPSet.minkowski as it stood before the cross pieces decided first, kept as
+# the reference for ``_key()``: no piece is skipped, nothing returns early.
+
+def minkowski_key(s, t):
+    if s.is_empty() or t.is_empty():
+        return EPSet.empty()._key()
+    a, b = s._key(), t._key()
+    pieces = _up_pieces(a, b, 0)
+    if s.window and t.window:
+        pieces.append(_sum_windows(a, b))
+    if s.neg_tail or t.neg_tail:
+        na = _negated(a[:3] + (a[3] if t.neg_tail else 0, a[4], 0))
+        nb = _negated(b[:3] + (b[3] if s.neg_tail else 0, b[4], 0))
+        pieces += map(_negated, _up_pieces(na, nb, 0))
+    if s.pos_tail and t.neg_tail:
+        pieces.append(_sum_cross(a, b))
+    if t.pos_tail and s.neg_tail:
+        pieces.append(_sum_cross(b, a))
+    return _union(pieces)._key()
+
+
 # -- the canonical form that EPSet's loop-free trim replaced -------------------
 # The constructor body as it stood when it walked the period bit by bit to
 # find where the tail rules split, kept as the reference for ``_key()``.
 
 def canonical_key(period, lo, hi, window, neg_tail, pos_tail):
     width = hi - lo + 1
-    d = _min_period(period, neg_tail, pos_tail)
+    d = min_period(period, neg_tail, pos_tail)
     sub = (1 << d) - 1
     neg = neg_tail & sub
     pos = pos_tail & sub

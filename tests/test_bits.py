@@ -5,11 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from linset import _bits as bits_module
 from linset._bits import (_BLOCK_BITS, _SHIFT_OR_BITS, _SMALL_BITS, _SPARSE_BITS, _bits,
-                          _class_sum, _fft_cutoff, _fft_or, _from_offsets, _reflect,
-                          _reverse, _spread, convolve_or)
+                          _class_sum, _fft_cutoff, _fft_or, _from_offsets, _min_period,
+                          _periodic_fill, _reflect, _reverse, _spread, convolve_or)
 
 
 def ref_bits(mask):
@@ -219,6 +222,33 @@ def test_class_sum_matches_sets(d):
         want = {(x + y) % d for x in xs for y in ys}
         got = _class_sum(sum(1 << x for x in xs), sum(1 << y for y in ys), d)
         assert got == sum(1 << r for r in want)
+
+
+@st.composite
+def periodic_masks(draw):
+    """A modulus m with many divisors or none, and up to three masks mod m,
+    each repeating within a divisor of m and maybe then one bit flipped."""
+    m = draw(st.one_of(st.sampled_from((1, 64, 360, 720, 840, 997, 1024, 2520)),
+                       st.integers(1, 600)))
+    divisors = [e for e in range(1, m + 1) if m % e == 0]
+    masks = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.sampled_from(divisors))
+        mask = _periodic_fill(draw(st.integers(0, (1 << d) - 1)), d, 0, m)
+        if draw(st.integers(0, 3)) == 0:
+            mask ^= 1 << draw(st.integers(0, m - 1))
+        masks.append(mask)
+    return m, masks
+
+
+@given(periodic_masks())
+@example((720720, [1]))
+@example((1 << 12, [_periodic_fill(0b1, 1 << 5, 0, 1 << 12), 0]))
+@example((2 * 3 * 5 * 7, [_periodic_fill(0b1, 2 * 5, 0, 210), _periodic_fill(0b1, 3 * 7, 0, 210)]))
+@settings(max_examples=400, deadline=None)
+def test_min_period_matches_divisor_scan(case):
+    m, masks = case
+    assert _min_period(m, *masks) == oracle.min_period(m, *masks)
 
 
 def test_bits_sparse_wide_masks(monkeypatch):

@@ -216,6 +216,20 @@ def test_cli_resource_exit_code(capsys):
         set_window_cap(old)
 
 
+def test_cli_covered_sum_returns_under_the_cap(capsys):
+    # the tail+tail pieces of this step lie in the classes of its cross
+    # pieces, so no 1.68M-position window is asked for
+    m = "40000"
+    start = "U(AP-(0,%s,0),AP+(%s,%s,%s),AP+(1,%s,1),AP+(7,%s,7))" % (m, m, m, m, m, m)
+    code = run(["iterate", "--set", start, "--ops", "(5,4)", "--max-k", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["resource_flag"] is None
+    classes = (0, 1, 5, 7, 31, 35, 39972, 39977, 39996)
+    assert report["iterates"][1]["set"] == "U(%s)" % ",".join(
+        "AP(%d,%s)" % (r, m) for r in classes)
+
+
 def test_cli_dplus_budget_exit_code(capsys):
     assert run(["dplus", "--set", "AP+(1,7,1)", "--max-k", "1"]) == 2
     err = capsys.readouterr().err

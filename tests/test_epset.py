@@ -164,6 +164,11 @@ def test_half_lines_at_default_cap():
         set_window_cap(old)
 
 
+def test_half_line_of_highly_composite_period():
+    # 720720 has 240 divisors; the period is kept whole all the same
+    assert EPSet.half_line(0, 720720, 0)._key() == (720720, 0, -1, 0, 0, 1)
+
+
 def test_window_end_is_part_of_identity():
     # a canonical window whose top bits are 0 under a pos rule of 1
     z_minus_0 = EPSet(1, 0, 0, 0, 1, 1)
@@ -329,6 +334,37 @@ def test_pure_opposite_tails_sum_fully_periodic(s, t):
     r = up.minkowski(down)
     assert r == r.translate(r.period)
     assert r.is_fully_periodic()
+
+
+@given(epsets(max_period=30, span=16, tail_bits=3), epsets(max_period=30, span=16, tail_bits=3))
+@example(EPSet.from_iterable([1]).union(EPSet.half_line(0, 6, 0)),
+         EPSet(4, 0, -1, 0, 0b0011, 0b0100))                 # full cover mod 2
+@example(EPSet(6, -2, 1, 0b1011, 0b000001, 0b000011),
+         EPSet(6, 3, 5, 0b101, 0b000001, 0b000001))         # both tail+tail pieces covered
+# tails only: the cross piece covers {0, 3} mod 4, the down+down piece
+# reaches the uncovered class 1
+@example(EPSet(4, 0, -1, 0, 0b0010, 0b0001), EPSet(4, 0, -1, 0, 0b1001, 0))
+@example(EPSet.from_iterable([0, 2]).union(EPSet.half_line(1, 5, 3)),
+         EPSet.half_line(2, 7, 0))                            # no opposite tails
+@settings(max_examples=300, deadline=None)
+def test_class_cover_matches_full_path(s, t):
+    # the cross pieces decide first: Z on a full cover, and tail+tail pieces
+    # inside a partial cover are skipped; the result is the full path's
+    r = s.minkowski(t)
+    assert r._key() == oracle.minkowski_key(s, t)
+    check_oracle(r, oracle.sum_bitmap(s, t, R))
+
+
+def test_covered_tail_pieces_build_no_window():
+    # both tail+tail pieces of 5X - 4X lie in the classes of the cross
+    # pieces; built in full, the up+up frame asks for 1,679,999 positions
+    m = 40000
+    x = EPSet.residue_class(0, m).union(EPSet.residue_class(1, m), EPSet.residue_class(7, m))
+    want = EPSet.residue_class(0, m).union(*(EPSet.residue_class(r, m) for r in (
+        1, 5, 7, 31, 35, 39972, 39977, 39996)))
+    five, four = x.dilate(5), x.dilate(4)
+    with allocates_below(1 << 19):
+        assert five - four == want
 
 
 def test_sum_needs_only_the_periods_of_its_pieces():
