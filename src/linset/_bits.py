@@ -67,6 +67,12 @@ def _from_offsets(offsets, width: int) -> int:
     return int(digits, 2)
 
 
+def _hash_key(mask: int) -> tuple:
+    # what a mask is hashed by: hash(int) is the int mod 2^61 - 1, so the
+    # one-bit masks 1 << k alone would share 61 values; bit lengths part them
+    return mask, mask.bit_length()
+
+
 def _rotate(mask: int, shift: int, width: int) -> int:
     # bit r of the result equals bit (r - shift) mod width of the input
     shift %= width

@@ -186,11 +186,7 @@ def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:
     check_window(n + 1)
     elems = set()
     for x in xs:
-        left = x
-        right = x * (1 + delta)
-        for v in range(int(left) + 1, min(n, int(right)) + 1):
-            if left < v < right:
-                elems.add(v)
+        elems.update(range(math.floor(x) + 1, min(n, math.ceil(x * (1 + delta)) - 1) + 1))
     return TruncatedSet(tuple(sorted(elems)), n)
 
 

@@ -16,7 +16,7 @@ import math
 import os
 from fractions import Fraction
 
-from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _min_period,
+from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _hash_key, _min_period,
                     _periodic_fill, _reflect, _reverse, _rotate, _spread, convolve_or)
 
 DEFAULT_WINDOW_CAP = 1 << 20
@@ -216,7 +216,8 @@ class EPSet:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash((self.period, self.lo, self.hi, self.window,
+                               _hash_key(self.neg_tail), _hash_key(self.pos_tail)))
         return self._hash
 
     def __repr__(self):

@@ -273,12 +273,8 @@ def guaranteed_collision_count(t: int, bound: int) -> int:
 
 def collision_depth_threshold(m: int, bound: int) -> int:
     """Smallest integer depth t satisfying t >= 2*log2(m) + 4L + 2."""
-    t = 4 * bound + 2
-    # add ceil(2*log2(m)) exactly: smallest k with 2^k >= m^2
-    k = 0
-    while (1 << k) < m * m:
-        k += 1
-    return t + k
+    # plus ceil(2*log2(m)) exactly: the least k with 2^k >= m^2
+    return 4 * bound + 2 + max(m * m - 1, 0).bit_length()
 
 
 def dominant_coefficient_pair(seq: OpSequence, m: int):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import _bits, _fold_mod, _image, _min_period, _periodic_fill, _rotate, _spread
+from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _hash_key, _image,
+                    _min_period, _periodic_fill, _rotate, _spread)
 from ._orbit import orbit
 from .epset import InputError, ResourceLimitExceeded, check_window, window_cap
 
@@ -68,11 +69,8 @@ class ResidueSet:
         if modulus < 1:
             raise InputError("modulus must be positive")
         check_window(modulus)
-        mask = 0
-        for x in elems:
-            mask |= 1 << (x % modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", _from_offsets((x % modulus for x in elems), modulus))
 
     @property
     def elems(self) -> frozenset:
@@ -88,9 +86,7 @@ class ResidueSet:
         return _bits(self.mask)
 
     def __hash__(self):
-        # hash(int) is the int mod 2^61 - 1, so the one-bit masks 1 << k
-        # alone would share 61 values; their top bit tells them apart
-        return hash((self.modulus, self.mask, self.mask.bit_length()))
+        return hash((self.modulus, _hash_key(self.mask)))
 
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "ResidueSet":
@@ -163,13 +159,12 @@ class DecompositionCertificate:
         return ResidueSet.subgroup(self.modulus, self.subgroup_step)
 
     def reconstruct(self) -> ResidueSet:
-        g = self.modulus
-        out = set()
-        for v in self.v:
-            for x in self.x:
-                for h in range(0, g, self.subgroup_step):
-                    out.add((self.translation + v + x + h) % g)
-        return ResidueSet(g, out)
+        # H = step*G: V + X + H is the classes of V + X mod step, filled
+        step = self.subgroup_step
+        vx = _class_sum(_from_offsets((v % step for v in self.v), step),
+                        _from_offsets((x % step for x in self.x), step), step)
+        return ResidueSet.from_mask(self.modulus,
+                                    _periodic_fill(vx, step, -self.translation, self.modulus))
 
     def verify(self, u: ResidueSet) -> bool:
         g = self.modulus
@@ -268,10 +263,8 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
         raise InputError("coefficients must be coprime")
     g = u.modulus
     masks = [u.mask]
-    # hash(int) is the int mod 2^61 - 1, so the one-bit masks 1 << k alone
-    # would share 61 hash values; the top bit keys them apart
     closure = orbit(lambda k, m: _image(m, a, b, g), masks, max_steps,
-                    key=lambda k, m: (m, m.bit_length()))
+                    key=lambda k, m: _hash_key(m))
     if closure is None:
         raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
     onset, length = closure
@@ -311,7 +304,7 @@ def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionRep
     if _image(x.mask, a, b, g) != _spread(x.mask, a, g):
         return AbsorptionReport(False, "aX + bX differs from aX", None, None)
     step = g // math.gcd(g, b)
-    holds = all(t % step == 0 for t in x)
+    holds = not x.mask & ~_periodic_fill(1, step, 0, g)
     return AbsorptionReport(True, None, step, holds)
 
 

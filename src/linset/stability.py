@@ -5,11 +5,12 @@ the bounded-coefficient stabilization guarantee."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._orbit import orbit
-from .epset import EPSet, InputError, WindowCapExceeded
+from .epset import EPSet, InputError, WindowCapExceeded, window_cap
 from .linops import OpSequence, apply_linear_op
 
 
@@ -82,15 +83,9 @@ def _floor_log2(x: Fraction) -> int:
     if x <= 0:
         raise ValueError("log of a nonpositive value")
     p, q = x.numerator, x.denominator
-    if p >= q:
-        e = 0
-        while (q << (e + 1)) <= p:
-            e += 1
-        return e
-    e = -1
-    while (p << -e) < q:
-        e -= 1
-    return e
+    # 2^(e-1) < p/q < 2^(e+1), and p/q >= 2^e decides between e and e - 1
+    e = p.bit_length() - q.bit_length()
+    return e if p << max(-e, 0) >= q << max(e, 0) else e - 1
 
 
 # the version of every report layout: the verifier's cells and the CLI's
@@ -162,9 +157,21 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
     if c < 1:
         raise InputError("the constant c must be a positive integer")
 
+    # the report prints g_bound = L^(K+1), so it must stay below 10^digits,
+    # the int string limit, or with that limit off below 2^cap.  K >= c*L
+    # (beta >= 1) and L^n >= 2^(n (l - 1)) with l = L.bit_length(), so the
+    # first test refuses an absurd c or L before beta^c or L^(K+1) is built;
+    # 8^digits < 10^digits < 2^bits, so 10^digits is built only when close
+    digits = sys.get_int_max_str_digits()
+    bits = 10 * digits // 3 + 1 if digits else window_cap()
     beta = 1 / dens
-    K = c * L + _floor_log2(beta ** c)
-    g_bound = L ** (K + 1)
+    g_bound = None
+    if (c * L + 1) * (L.bit_length() - 1) < bits:
+        K = c * L + _floor_log2(beta ** c)
+        g_bound = L ** (K + 1)
+    if g_bound is None or g_bound.bit_length() > bits or \
+            digits and g_bound.bit_length() > 3 * digits and g_bound >= 10 ** digits:
+        raise InputError("g_bound = L^(K+1) is too large to report; lower --c or --L")
 
     trace = iterate_trace(a, seq, max_k=max_steps)
     its = trace.iterates

@@ -340,3 +340,62 @@ def stability_time(a, max_k=128):
         its.append(nxt)
         cur = nxt
     raise ResourceLimitExceeded("no fixed point within %d positive-difference steps" % max_k)
+
+
+# -- the loops that exact one-step forms replaced ------------------------------
+# Each is the loop as it stood before its one-step form: ``_floor_log2``,
+# ``collision_depth_threshold``, the mask of ``ResidueSet.__init__``,
+# ``DecompositionCertificate.reconstruct``, the containment test of
+# ``nonperiodic_absorption_check`` and ``sparse_interval_union``.
+
+def floor_log2(x):
+    p, q = x.numerator, x.denominator
+    if p >= q:
+        e = 0
+        while (q << (e + 1)) <= p:
+            e += 1
+        return e
+    e = -1
+    while (p << -e) < q:
+        e -= 1
+    return e
+
+
+def collision_depth_threshold(m, bound):
+    t = 4 * bound + 2
+    k = 0
+    while (1 << k) < m * m:
+        k += 1
+    return t + k
+
+
+def residue_mask(modulus, elems):
+    mask = 0
+    for x in elems:
+        mask |= 1 << (x % modulus)
+    return mask
+
+
+def reconstruct(cert):
+    g = cert.modulus
+    out = set()
+    for v in cert.v:
+        for x in cert.x:
+            for h in range(0, g, cert.subgroup_step):
+                out.add((cert.translation + v + x + h) % g)
+    return out
+
+
+def absorption_holds(x, step):
+    return all(t % step == 0 for t in x)
+
+
+def sparse_interval_union(xs, delta, n):
+    elems = set()
+    for x in xs:
+        left = x
+        right = x * (1 + delta)
+        for v in range(int(left) + 1, min(n, int(right)) + 1):
+            if left < v < right:
+                elems.add(v)
+    return tuple(sorted(elems))

@@ -203,6 +203,14 @@ def test_cli_cross_process_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_unprintable_g_bound_is_a_usage_error(capsys):
+    for argv in (["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]"],
+                 ["sweep", "--sets", "AP+(1,3,1)", "--ops-list", "cyc[(3,1)]"]):
+        assert run(argv + ["--L", "3", "--c", "2000"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--c or --L" in err
+
+
 def test_cli_resource_exit_code(capsys):
     from linset.epset import set_window_cap, window_cap
     old = window_cap()

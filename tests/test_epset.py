@@ -449,6 +449,12 @@ def test_equal_sets_share_hash(s):
     assert twin == s and hash(twin) == hash(s)
 
 
+def test_one_bit_tails_hash_apart():
+    # hash(int) is the int mod 2^61 - 1: without the tails' bit lengths
+    # these 4099 sets share 61 hash values
+    assert len({hash(EPSet.residue_class(r, 4099)) for r in range(4099)}) >= 4000
+
+
 def _tile(mask, width, times):
     out = 0
     for i in range(times):

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import allocates_below
 from linset.constructions import parity_flip_sequence
-from linset.epset import EPSet, set_window_cap, window_cap
+from linset.epset import EPSet, InputError, set_window_cap, window_cap
 from linset.linops import OpSequence
 from linset.stability import (
     _floor_log2,
@@ -118,6 +120,35 @@ def test_verify_requires_coprime():
     with pytest.raises(ValueError):
         verify_stabilization(EPSet.naturals(),
                              OpSequence(((2, 4),), cyclic=True), bound=4)
+
+
+def test_verify_refuses_an_unprintable_g_bound():
+    # g_bound = L^(K+1) is refused before beta^c or L^(K+1) is built, and
+    # exactly when str(g_bound) would fail or, with the int string limit
+    # off, when it has more bits than the window cap
+    a, seq = EPSet.half_line(1, 3, 1), OpSequence(((3, 1),), cyclic=True)
+    with allocates_below(1 << 20):
+        with pytest.raises(InputError, match="--c or --L"):
+            verify_stabilization(a, seq, bound=3, c=10 ** 7)
+    old_digits, old_cap = sys.get_int_max_str_digits(), window_cap()
+    try:
+        n = len(str(verify_stabilization(a, seq, bound=3, c=1000).g_bound))
+        assert n == 2188
+        sys.set_int_max_str_digits(n)
+        assert verify_stabilization(a, seq, bound=3, c=1000).verdict == "PASS"
+        sys.set_int_max_str_digits(n - 1)
+        with pytest.raises(InputError, match="--c or --L"):
+            verify_stabilization(a, seq, bound=3, c=1000)
+        sys.set_int_max_str_digits(0)
+        bits = verify_stabilization(a, seq, bound=3, c=10).g_bound.bit_length()
+        set_window_cap(bits)
+        assert verify_stabilization(a, seq, bound=3, c=10).verdict == "PASS"
+        set_window_cap(bits - 1)
+        with pytest.raises(InputError, match="--c or --L"):
+            verify_stabilization(a, seq, bound=3, c=10)
+    finally:
+        sys.set_int_max_str_digits(old_digits)
+        set_window_cap(old_cap)
 
 
 def test_verify_inconclusive_on_cap():
