@@ -7,9 +7,27 @@ residue image U -> aU + bU mod g of one set is one kernel on such masks,
 ``_image``: the fully periodic step of ``apply_linear_op`` and the
 per-set residue functions call it.
 
-Every helper here is linear in the mask width, except ``convolve_or``,
-the one boolean convolution under all Minkowski pieces: a shift-or costs
-O(w) per set bit, and its FFT path O(B log B) per pair of B-bit blocks.
+Every helper here is linear in the mask width w, but for three.
+``_min_period`` tests each prime factor of m, O(w log m) at worst.
+``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
+word operations.  ``convolve_or``, the one boolean convolution under all
+Minkowski pieces: a shift-or costs O(w) per set bit of the sparser
+operand, and its FFT path O(B log B) per pair of B-bit blocks.
+
+The first-of-class reduction.  A window+tail piece convolves the window
+W', shifted to start at 0, with T', the tail's periodic fill of period m
+from 0, below a span.  Below the span T' is closed under +m, so a member
+w2 = w1 + k*m (k >= 1) of W' adds nothing: w2 + T' lies inside w1 + T'.
+So the piece convolves ``_first_of_class(W', m)``, the least member of
+each class, at most m bits, and its shift-or takes at most m steps
+however wide the window is.
+
+Index arrays.  Window text and finite sets go through one numpy index
+array, not a Python step per element: ``_members`` lists a mask's
+members plus a base, and ``_from_offsets`` builds a mask from members
+minus a base.  They compute in int64 while |base| + width < 2^62, and in
+Python ints (object dtype) otherwise; ``_int_dtype`` makes that choice
+for them and for the bulk arithmetic of ``constructions``.
 
 Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit,
 stopping early once every output bit is set.  When that operand has more
@@ -35,17 +53,38 @@ _SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
 _SHIFT_OR_BITS = 64      # convolve_or shift-ors this many bits before the FFT
 _FFT_MIN_BITS = 400      # ... and leaves it at least this many (see _fft_cutoff)
 _BLOCK_BITS = 1 << 14    # FFT block: counts <= 2^14, transforms <= 2^15 points
+_EXACT = 1 << 62         # int64 index arithmetic stays below this magnitude
 
 
 def _bits(mask):
     """Set bit positions of mask, ascending (a generator)."""
     if mask.bit_length() > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS:
-        yield from np.flatnonzero(_unpack(mask, mask.bit_length())).tolist()
+        yield from _members(mask, 0)
         return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _int_dtype(reach: int):
+    """The numpy dtype for exact integer arithmetic whose values stay below
+    ``reach`` in magnitude: int64 when reach < 2^62, else object (Python
+    ints)."""
+    return np.int64 if reach < _EXACT else object
+
+
+def _members(mask: int, base: int) -> list:
+    """The integers base + i over the set bits i of mask, ascending.
+
+    A wide mask with many members goes through one index array, with base
+    added in int64 when |base| + width stays below 2^62 and in Python ints
+    otherwise; a narrow or sparse one is walked bit by bit, as in _bits."""
+    width = mask.bit_length()
+    if width <= _SMALL_BITS or mask.bit_count() <= _SPARSE_BITS:
+        return [base + i for i in _bits(mask)]
+    offsets = np.flatnonzero(_unpack(mask, width))
+    return (offsets.astype(_int_dtype(abs(base) + width), copy=False) + base).tolist()
 
 
 def _unpack(mask: int, width: int):
@@ -59,12 +98,25 @@ def _pack(flags) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _from_offsets(offsets, width: int) -> int:
-    """Mask with bit i set for each i in offsets, all in [0, width), width >= 1."""
-    digits = bytearray(b"0") * width    # most significant bit first
-    for i in offsets:
-        digits[~i] = 49                 # ord("1") at the place of bit i
-    return int(digits, 2)
+def _from_offsets(values, width: int, base: int = 0) -> int:
+    """Mask with bit v - base set for each v in values, all in [base, base + width).
+
+    ``values`` is a sized collection of ints or a numpy array of any integer
+    or object dtype.  A wide mask from many values is one index array, one
+    assignment and one pack, with base subtracted in int64 when |base| +
+    width stays below 2^62 and in Python ints otherwise; a narrow or sparse
+    one is ORed bit by bit, so its cost follows the number of values, not
+    the width."""
+    if width > _SMALL_BITS and len(values) > _SPARSE_BITS:
+        if not isinstance(values, np.ndarray):
+            values = np.fromiter(values, _int_dtype(abs(base) + width), len(values))
+        flags = np.zeros(width, np.uint8)
+        flags[(values - base).astype(np.intp, copy=False)] = 1
+        return _pack(flags)
+    out = 0
+    for v in map(int, values):
+        out |= 1 << (v - base)
+    return out
 
 
 def _hash_key(mask: int) -> tuple:
@@ -129,6 +181,25 @@ def _periodic_fill(classes: int, m: int, start: int, length: int) -> int:
         filled |= filled << have
         have *= 2
     return filled & ((1 << length) - 1)
+
+
+def _first_of_class(mask: int, m: int) -> int:
+    """The set bits i of mask with no set bit i - k*m (k >= 1) below them:
+    the least member of each residue class mod m, so at most m bits.
+
+    ``seen`` is the OR of mask << k*m over k >= 1, built by doubling: it
+    starts at k = 1, a doubling by ``step`` takes it to every k with
+    k*m <= 2*step, and once ``step`` reaches the width no shift is left."""
+    width = mask.bit_length()
+    if width <= m:
+        return mask
+    full = (1 << width) - 1
+    seen = (mask << m) & full
+    step = m
+    while step < width:
+        seen |= (seen << step) & full
+        step *= 2
+    return mask & ~seen
 
 
 def _min_period(m: int, *masks) -> int:

@@ -8,9 +8,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import _bits, _from_offsets, convolve_or
+import numpy as np
+
+from ._bits import _from_offsets, _int_dtype, _members, convolve_or
 from ._orbit import orbit
-from .epset import EPSet, InputError, check_window
+from .epset import EPSet, InputError, _decimals, check_window
 from .linops import LinearOp, OpSequence, apply_linear_op
 from .residue import multiplicative_order
 
@@ -23,7 +25,7 @@ class TruncatedSet:
     horizon: int
 
     def __post_init__(self):
-        if any(x < 0 or x > self.horizon for x in self.elems):
+        if self.elems and (min(self.elems) < 0 or max(self.elems) > self.horizon):
             raise InputError("elements must lie within [0, horizon]")
 
     def __len__(self):
@@ -40,7 +42,7 @@ class TruncatedSet:
         return EPSet.from_iterable(self.elems)
 
     def to_expr(self) -> str:
-        return "{%s}" % ",".join(str(x) for x in self.elems)
+        return "{%s}" % _decimals(self.elems)
 
 
 def finite_gamma(elems, a: int, b: int):
@@ -53,10 +55,10 @@ def finite_gamma(elems, a: int, b: int):
     lo, hi = elems[0], elems[-1]
     check_window((a + b) * (hi - lo) + 1)
     # bit a*(x - lo) for each x, convolved with bit b*(hi - y) for each y
-    amask = _from_offsets((a * (x - lo) for x in elems), a * (hi - lo) + 1)
-    bmask = _from_offsets((b * (hi - y) for y in elems), b * (hi - lo) + 1)
-    base = a * lo - b * hi
-    return [base + i for i in _bits(convolve_or(amask, bmask))]
+    xs = np.array(elems, _int_dtype(max(hi, -lo) + hi - lo))
+    amask = _from_offsets(a * (xs - lo), a * (hi - lo) + 1)
+    bmask = _from_offsets(b * (hi - xs), b * (hi - lo) + 1)
+    return _members(convolve_or(amask, bmask), a * lo - b * hi)
 
 
 def max_consecutive_gap(sorted_elems) -> int:
@@ -164,12 +166,9 @@ def bohr_truncation(alpha: Fraction, delta: Fraction, n: int) -> TruncatedSet:
     p = alpha.numerator
     # min(t, q - t) / q < delta / 2, with the denominators cleared
     dn, dd = delta.numerator, delta.denominator
-    elems = []
-    for a in range(1, n + 1):
-        t = (p * a) % q
-        if 2 * min(t, q - t) * dd < dn * q:
-            elems.append(a)
-    return TruncatedSet(tuple(elems), n)
+    a = np.arange(1, n + 1, dtype=_int_dtype(max(abs(p) * n, 2 * q * dd, dn * q)))
+    t = p * a % q
+    return TruncatedSet(tuple(a[2 * np.minimum(t, q - t) * dd < dn * q].tolist()), n)
 
 
 def sparse_interval_union(xs, delta: Fraction, n: int) -> TruncatedSet:

@@ -16,8 +16,9 @@ import math
 import os
 from fractions import Fraction
 
-from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _hash_key, _min_period,
-                    _periodic_fill, _reflect, _reverse, _rotate, _spread, convolve_or)
+from ._bits import (_bits, _class_sum, _first_of_class, _fold_mod, _from_offsets, _hash_key,
+                    _members, _min_period, _periodic_fill, _reflect, _reverse,
+                    _rotate, _spread, convolve_or)
 
 DEFAULT_WINDOW_CAP = 1 << 20
 
@@ -174,12 +175,13 @@ class EPSet:
 
     @classmethod
     def from_iterable(cls, xs) -> "EPSet":
-        xs = set(xs)
+        xs = list(xs)
         if not xs:
             return cls.empty()
         lo, hi = min(xs), max(xs)
-        check_window(hi - lo + 1)
-        return cls(1, lo, hi, _from_offsets((x - lo for x in xs), hi - lo + 1), 0, 0)
+        width = hi - lo + 1
+        check_window(width)
+        return cls(1, lo, hi, _from_offsets(xs, width, lo), 0, 0)
 
     @classmethod
     def residue_class(cls, r: int, g: int) -> "EPSet":
@@ -255,7 +257,7 @@ class EPSet:
 
     def elements_in(self, a: int, b: int) -> list:
         """Sorted list of the elements within [a, b]."""
-        return [a + i for i in _bits(self.membership_mask(a, b))]
+        return _members(self.membership_mask(a, b), a)
 
     # -- set operations ------------------------------------------------------
 
@@ -400,12 +402,17 @@ class EPSet:
             last = self.lo - 1 - ((self.lo - 1 - r) % g)
             parts.append("AP-(%d,%d,%d)" % (last, g, last))
         if self.window:
-            elems = ",".join(str(self.lo + i) for i in _bits(self.window))
-            parts.append("{%s}" % elems)
+            parts.append("{%s}" % _decimals(_members(self.window, self.lo)))
         for r in _bits(self.pos_tail):
             first = self.hi + 1 + ((r - self.hi - 1) % g)
             parts.append("AP+(%d,%d,%d)" % (first, g, first))
         return parts[0] if len(parts) == 1 else "U(%s)" % ",".join(parts)
+
+
+def _decimals(xs) -> str:
+    """The ints xs in decimal, comma-separated: one formatting call, with
+    no str object made per element."""
+    return ("%d," * len(xs) % tuple(xs))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +427,15 @@ class EPSet:
 # each operand (window, upward tail, downward tail).  Two windows sum to a
 # finite piece, a window and an upward tail or two upward tails to a piece
 # with an explicit window below a periodic upward tail, and opposite tails to
-# full residue classes.  Downward pieces are the upward pieces of the
-# negated operands, negated.  Every tail+tail piece has its classes mod the
-# same d = gcd of the operand periods, so ``minkowski`` builds the two cross
-# pieces first: when they cover every class mod d the sum is Z, and no other
-# piece is built; else an up+up or down+down piece whose classes they cover
-# adds nothing and is skipped.  Two upward tails of periods m1, m2 (d = gcd)
+# full residue classes.  A window+tail piece sums only the least window
+# member of each class mod the tail period m: below the piece's span the
+# tail fill T' is closed under +m, so a member w2 = w1 + k*m adds
+# w2 + T' ⊆ w1 + T' (``_first_of_class``).  Downward pieces are the upward
+# pieces of the negated operands, negated.  Every tail+tail piece has its
+# classes mod the same d = gcd of the operand periods, so ``minkowski``
+# builds the two cross pieces first: when they cover every class mod d the
+# sum is Z, and no other piece is built; else an up+up or down+down piece
+# whose classes they cover adds nothing and is skipped.  Two upward tails of periods m1, m2 (d = gcd)
 # saturate within a span of m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first
 # elements, the Frobenius bound of m1/d and m2/d scaled by d
 # (``_sum_up_up``); canonicalization removes any slack afterwards.
@@ -507,7 +517,7 @@ def _sum_window_up(s, t):
     if span > 0:
         check_window(span)
         tail_bits = _periodic_fill(classes, m, h + 1, span)
-        emask = convolve_or(wmask >> low, tail_bits, span)
+        emask = convolve_or(_first_of_class(wmask >> low, m), tail_bits, span)
     shifted = _class_sum(classes, _rotate(_fold_mod(wmask, m), wlo, m), m)
     return (m, h + 1 + wmin, h + wmax, emask, 0, shifted)
 

@@ -70,7 +70,7 @@ class ResidueSet:
             raise InputError("modulus must be positive")
         check_window(modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "mask", _from_offsets((x % modulus for x in elems), modulus))
+        object.__setattr__(self, "mask", _from_offsets([x % modulus for x in elems], modulus))
 
     @property
     def elems(self) -> frozenset:
@@ -161,8 +161,8 @@ class DecompositionCertificate:
     def reconstruct(self) -> ResidueSet:
         # H = step*G: V + X + H is the classes of V + X mod step, filled
         step = self.subgroup_step
-        vx = _class_sum(_from_offsets((v % step for v in self.v), step),
-                        _from_offsets((x % step for x in self.x), step), step)
+        vx = _class_sum(_from_offsets([v % step for v in self.v], step),
+                        _from_offsets([x % step for x in self.x], step), step)
         return ResidueSet.from_mask(self.modulus,
                                     _periodic_fill(vx, step, -self.translation, self.modulus))
 

@@ -11,10 +11,13 @@ import math
 from collections import Counter
 from itertools import product
 
-from linset._bits import _periodic_fill, _rotate
+from fractions import Fraction
+
+from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, convolve_or
 from linset.analysis import dplus
-from linset.epset import (EPSet, ResourceLimitExceeded, WindowCapExceeded, _negated,
-                          _sum_cross, _sum_windows, _union, _up_pieces)
+from linset.constructions import TruncatedSet
+from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
+                          _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window)
 from linset.linops import apply_linear_op
 from linset.residue import ResidueOrbit, gamma_mod, totient
 from linset.stability import IterationTrace, full_periodicity_onset
@@ -399,3 +402,50 @@ def sparse_interval_union(xs, delta, n):
             if left < v < right:
                 elems.add(v)
     return tuple(sorted(elems))
+
+
+# -- the window+tail piece before its first-of-class reduction -----------------
+# ``_bits._first_of_class`` as a walk over the bits, and the window+tail piece
+# as it stood when it convolved every window bit with the tail.
+
+def first_of_class(mask, m):
+    out, seen = 0, set()
+    for i in range(mask.bit_length()):
+        if (mask >> i) & 1 and i % m not in seen:
+            seen.add(i % m)
+            out |= 1 << i
+    return out
+
+
+def sum_window_up(s, t):
+    _, wlo, _, wmask, _, _ = s
+    m, _, h, _, _, classes = t
+    low = (wmask & -wmask).bit_length() - 1
+    wmin = wlo + low
+    wmax = wlo + wmask.bit_length() - 1
+    span = wmax - wmin
+    emask = 0
+    if span > 0:
+        tail_bits = _periodic_fill(classes, m, h + 1, span)
+        emask = convolve_or(wmask >> low, tail_bits, span)
+    shifted = _class_sum(classes, _rotate(_fold_mod(wmask, m), wlo, m), m)
+    return (m, h + 1 + wmin, h + wmax, emask, 0, shifted)
+
+
+# -- the Bohr truncation loop that one numpy pass replaced ---------------------
+
+def bohr_truncation(alpha, delta, n):
+    alpha, delta = Fraction(alpha), Fraction(delta)
+    if n < 1 or not 0 < delta <= 1:
+        raise InputError("bad horizon or delta")
+    check_window(n + 1)
+    if alpha.denominator <= 4 * n:
+        raise InputError("surrogate too coarse")
+    q, p = alpha.denominator, alpha.numerator
+    dn, dd = delta.numerator, delta.denominator
+    elems = []
+    for a in range(1, n + 1):
+        t = (p * a) % q
+        if 2 * min(t, q - t) * dd < dn * q:
+            elems.append(a)
+    return TruncatedSet(tuple(elems), n)
