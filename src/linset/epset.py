@@ -16,6 +16,8 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
+
 from ._bits import (_bits, _class_sum, _first_of_class, _fold_mod, _from_offsets, _hash_key,
                     _members, _min_period, _periodic_fill, _reflect, _reverse,
                     _rotate, _spread, convolve_or)
@@ -175,10 +177,17 @@ class EPSet:
 
     @classmethod
     def from_iterable(cls, xs) -> "EPSet":
-        xs = list(xs)
-        if not xs:
-            return cls.empty()
-        lo, hi = min(xs), max(xs)
+        """The finite set of the integers ``xs``, an iterable of ints or an
+        int64 array (taken as it is, as ``_int_literal`` returns one)."""
+        if isinstance(xs, np.ndarray):
+            if not xs.size:
+                return cls.empty()
+            lo, hi = int(xs.min()), int(xs.max())
+        else:
+            xs = list(xs)
+            if not xs:
+                return cls.empty()
+            lo, hi = min(xs), max(xs)
         width = hi - lo + 1
         check_window(width)
         return cls(1, lo, hi, _from_offsets(xs, width, lo), 0, 0)

@@ -3,8 +3,9 @@ coefficient multisets of composed operations."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,18 +87,24 @@ class OpSequence:
         return "cyc[%s]" % body if self.cyclic else body
 
 
-@dataclass
 class CoefficientExpansion:
     """Signed coefficient multiset of a composed operation.
 
     ``terms`` maps coefficient value -> multiplicity; summed over all
     splittings of the operation list the multiplicities total 2^s, half of
     them on positive coefficients.  ``lattice`` holds the exponent-lattice
-    counts the terms were decoded from, when the lattice path ran.
+    counts, when the lattice path ran: ``terms`` is then decoded from it on
+    first read, and ``most_repeated`` reads the lattice without decoding.
     """
 
-    terms: dict
-    lattice: "_Lattice | None" = field(default=None, repr=False, compare=False)
+    def __init__(self, terms: dict | None = None, lattice: "_Lattice | None" = None):
+        if terms is not None:
+            self.terms = terms      # fills the cache of the property below
+        self.lattice = lattice
+
+    @functools.cached_property
+    def terms(self) -> dict:
+        return self.lattice.terms()
 
     def total_multiplicity(self) -> int:
         return sum(self.terms.values())
@@ -193,7 +200,7 @@ def compose_coefficients(seq: OpSequence) -> CoefficientExpansion:
     if cells > window_cap() or cells > _LATTICE_CELLS_PER_SPLIT << len(seq):
         return CoefficientExpansion(terms=_expand_by_value(seq))
     lattice = _expand_on_lattice(base, shape, exps)
-    return CoefficientExpansion(terms=lattice.terms(), lattice=lattice)
+    return CoefficientExpansion(lattice=lattice)
 
 
 def _coprime_base(values) -> list:

@@ -70,7 +70,11 @@ class ResidueSet:
             raise InputError("modulus must be positive")
         check_window(modulus)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "mask", _from_offsets([x % modulus for x in elems], modulus))
+        if isinstance(elems, np.ndarray):       # a parsed long literal, int64
+            offsets = elems % modulus
+        else:
+            offsets = [x % modulus for x in elems]
+        object.__setattr__(self, "mask", _from_offsets(offsets, modulus))
 
     @property
     def elems(self) -> frozenset:

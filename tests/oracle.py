@@ -8,6 +8,7 @@ bookkeeping of the implementation under test is reused here.
 """
 
 import math
+import re
 from collections import Counter
 from itertools import product
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, convolve_or
 from linset.analysis import dplus
+from linset.cli import SetSyntaxError
 from linset.constructions import TruncatedSet
 from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
                           _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window)
@@ -449,3 +451,35 @@ def bohr_truncation(alpha, delta, n):
         if 2 * min(t, q - t) * dd < dn * q:
             elems.append(a)
     return TruncatedSet(tuple(elems), n)
+
+
+# -- the {...} literal scan that the one-pass numpy parse fronts ---------------
+# ``cli._int_literal`` as it stood before ``cli._int_array``: one regex match
+# over the whole body, then a split and int().
+
+_INT = r"[+-]?\d+"
+_INTEGER = re.compile(r"\s*(%s)" % _INT)
+_INT_LIST = re.compile(r"\s*(?:(%s(?:\s*,\s*%s)*)(\s*,)?)?\s*(\})?" % (_INT, _INT))
+
+
+def _to_int(m, group):
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise SetSyntaxError("integer literal too long", m.start(group)) from None
+
+
+def int_literal(sc):
+    sc.take("{")
+    m = _INT_LIST.match(sc.text, sc.i)
+    body, comma, close = m.groups()
+    if close and not comma:
+        sc.i = m.end()
+        try:
+            return list(map(int, body.split(","))) if body else []
+        except ValueError:
+            return [_to_int(x, 1) for x in _INTEGER.finditer(sc.text, m.start(1), m.end(1))]
+    sc.i = m.start(3) if close else m.end()
+    if body and not comma:
+        raise SetSyntaxError("expected '}'", sc.i)
+    raise SetSyntaxError("expected an integer", sc.i)
