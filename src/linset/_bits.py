@@ -12,7 +12,8 @@ Every helper here is linear in the mask width w, but for three.
 ``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
 word operations.  ``convolve_or``, the one boolean convolution under all
 Minkowski pieces: a shift-or costs O(w) per set bit of the sparser
-operand, and its FFT path O(B log B) per pair of B-bit blocks.
+operand, and its FFT path O(n log n) for one transform of n >= w/g
+points, g the stride of the operands' common lattice.
 
 The first-of-class reduction.  A window+tail piece convolves the window
 W', shifted to start at 0, with T', the tail's periodic fill of period m
@@ -31,28 +32,33 @@ for them and for the bulk arithmetic of ``constructions``.
 
 Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit,
 stopping early once every output bit is set.  When that operand has more
-set bits than ``_fft_cutoff(width)``, only its lowest ``_SHIFT_OR_BITS`` are
-shift-ored; the rest is convolved with the other operand as 0/1
-polynomials in float64 by numpy ``rfft``/``irfft``.  Both are cut into
-blocks of at most ``_BLOCK_BITS`` = 2^14 bits, so each block pair is one
-transform of at most 2^15 points and each coefficient of its product is
-an integer count of at most 2^14.  The float64 round-off of such a
-product stays below 1e-10 (about 7e-12 measured on all-ones blocks), far
-below 1/4, so rounding recovers every count exactly and a bit is set iff
-its rounded count is positive.  A guard still checks |c - rint(c)| < 1/4
-on every coefficient of every block pair; a pair that fails it is
-recomputed by shift-or, so no bit rests on an unchecked float.
+set bits than ``_fft_cutoff(width)``, the product is one transform
+instead: each operand is shifted down by its lowest set bit and divided by
+g, the gcd of the offsets of all set bits of both, and the two reduced 0/1
+arrays are multiplied as polynomials in float64 by one numpy
+``rfft``/``rfft``/``irfft`` of the least 5-smooth length n >= their
+product's length.  Each coefficient c is an integer count, and the
+float64 error of an FFT product is at most ||x||_2 ||y||_2 * O(eps log n)
+with accurate twiddle factors (Percival, Math. Comp. 2003; Brent and
+Zimmermann, Modern Computer Arithmetic, 3.3).  For 0/1 operands of at most
+w bits ||x||_2 ||y||_2 <= w, so the error is below w * O(eps log n): about
+1e-7 even at w = 2^24, past every width the window cap allows, and far
+below 1/4 (4.7e-10 measured on all-ones operands of 2^20 bits).  So
+rounding recovers every count exactly and a bit is set iff its rounded
+count is positive.  A guard still checks |c - rint(c)| < 1/4 on every
+coefficient; a product that fails it is recomputed whole by shift-or, so
+no bit rests on an unchecked float.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _SMALL_BITS = 256        # _bits walks masks up to this width bit by bit,
 _SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
-_SHIFT_OR_BITS = 64      # convolve_or shift-ors this many bits before the FFT
-_FFT_MIN_BITS = 400      # ... and leaves it at least this many (see _fft_cutoff)
-_BLOCK_BITS = 1 << 14    # FFT block: counts <= 2^14, transforms <= 2^15 points
+_FFT_MIN_BITS = 256      # convolve_or shift-ors sparser operands of this many bits or fewer
 _EXACT = 1 << 62         # int64 index arithmetic stays below this magnitude
 
 
@@ -280,73 +286,90 @@ def convolve_or(m1: int, m2: int, width=None) -> int:
         if not m2:
             return 0
         k = m1.bit_count()
-    # shift-or the sparser operand, bit by bit up to _SHIFT_OR_BITS of them
-    # when the rest goes to the FFT, else all of them (the first test
-    # spares small operands the call)
-    fft = k > _SHIFT_OR_BITS + _FFT_MIN_BITS and k > _fft_cutoff(width)
+    # one transform past the cutoff (the first test spares small operands
+    # the call), else shift-or the sparser operand bit by bit
+    if k > _FFT_MIN_BITS and k > _fft_cutoff(width):
+        return _fft_or(m1, m2, width)
     out = 0
-    for _ in range(_SHIFT_OR_BITS if fft else k):
+    for _ in range(k):
         low = m1 & -m1
         out = (out | (m2 << (low.bit_length() - 1))) & full
         if out == full:
             return out
         m1 ^= low
-    return out | _fft_or(m1, m2, width) if fft else out
+    return out
 
 
 def _fft_cutoff(width: int) -> int:
-    """Popcount of the sparser operand above which convolve_or hands all but
-    its lowest _SHIFT_OR_BITS bits to the FFT.
+    """Popcount of the sparser operand above which convolve_or takes one FFT
+    product instead of a shift-or.
 
-    A shift-or costs O(width) per bit; the blocked FFT costs a fixed numpy
-    overhead plus O(width^2 / block) for its block pairs.  Measured on 2
-    cores, the FFT wins past about 400 + width/64 remaining bits.
+    A shift-or costs O(width) per bit; the FFT a fixed numpy overhead plus
+    O(n log n) for a transform of n >= the product's width (n/g on a lattice
+    of stride g).  Measured on 2 cores with g = 1, the FFT wins past about
+    250-600 bits at widths up to 2^15 and past 850-1650 at 2^17-2^21, which
+    256 + sqrt(width) follows; on a lattice it wins sooner.
     """
-    return _SHIFT_OR_BITS + _FFT_MIN_BITS + (width >> 6)
+    return _FFT_MIN_BITS + math.isqrt(width)
 
 
 def _shift_or(m1: int, m2: int) -> int:
-    # the reference form of convolve_or, for block pairs the guard rejects
+    # the reference form of convolve_or, for products the guard rejects
     out = 0
     for i in _bits(m1):
         out |= m2 << i
     return out
 
 
+def _smooth_len(n: int) -> int:
+    # least 2^i * 3^j * 5^k >= n: pocketfft is fast at these lengths, and a
+    # power of two alone can pad by up to 2x
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_or(a: int, b: int, width: int) -> int:
-    """Bits below width of the boolean convolution of a and b (both already
-    below 2^width), by blocked float64 FFT products under the rounding guard."""
-    la, lb = a.bit_length(), b.bit_length()
-    # one block each when a single transform of <= 2^15 points holds the product
-    blk = _BLOCK_BITS if la + lb - 1 > 2 * _BLOCK_BITS else max(la, lb)
-    n = 1 << (min(la, blk) + min(lb, blk) - 2).bit_length()
-    na, nb = -(-la // blk), -(-lb // blk)
-    xa = _unpack(a, na * blk).reshape(na, blk)
-    xb = _unpack(b, nb * blk).reshape(nb, blk)
-    ka_list = np.flatnonzero(xa.any(axis=1)).tolist()
-    kb_list = np.flatnonzero(xb.any(axis=1)).tolist()
-    if len(kb_list) > len(ka_list):
-        a, xa, ka_list, b, xb, kb_list = b, xb, kb_list, a, xa, ka_list
-    # b's block spectra are kept, one array each so no buffer outgrows a
-    # transform; a's are made one at a time
-    spec_b = [np.fft.rfft(xb[kb], n) for kb in kb_list]
-    hit = np.zeros(width, dtype=bool)
-    blk_mask = (1 << blk) - 1
-    for ka in ka_list:
-        spec_a = np.fft.rfft(xa[ka], n)
-        for j, kb in enumerate(kb_list):
-            off = (ka + kb) * blk
-            if off >= width:
-                break
-            seg = hit[off:off + n]
-            if seg.all():
-                continue    # saturated, as in the shift-or exit
-            c = np.fft.irfft(spec_a * spec_b[j], n)[:seg.size]
-            counts = np.rint(c)
-            c -= counts
-            if np.abs(c, out=c).max() < 0.25:
-                seg |= counts > 0
-            else:
-                pair = _shift_or((a >> (ka * blk)) & blk_mask, (b >> (kb * blk)) & blk_mask)
-                seg |= _unpack(pair & ((1 << seg.size) - 1), seg.size).astype(bool)
-    return _pack(hit)
+    """Bits below width of the boolean convolution of a and b (both nonzero),
+    by one float64 FFT product on their common lattice under the rounding
+    guard.
+
+    Each operand is shifted down by its lowest set bit; its set bits then lie
+    on multiples of g, the gcd of all their offsets (aW and -bW of a window on
+    a progression share its stride), so the product is taken of the two
+    arrays reduced by g and its hits are spread by g and shifted back.
+    """
+    sa, sb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    span = width - sa - sb              # product bits kept above the shift
+    if span <= 0:
+        return 0
+    low = (1 << span) - 1
+    a, b = (a >> sa) & low, (b >> sb) & low
+    xa, xb = _unpack(a, a.bit_length()), _unpack(b, b.bit_length())
+    g = int(np.gcd(np.gcd.reduce(np.flatnonzero(xa)), np.gcd.reduce(np.flatnonzero(xb)))) or 1
+    xa, xb = xa[::g], xb[::g]
+    size = min(xa.size + xb.size - 1, -(-span // g))   # reduced positions kept
+    n = _smooth_len(xa.size + xb.size - 1)
+    # each array is freed once used, and the spectrum product is formed in place
+    spec = np.fft.rfft(xa, n)
+    del xa
+    other = np.fft.rfft(xb, n)
+    del xb
+    spec *= other
+    del other
+    c = np.fft.irfft(spec, n)[:size]
+    del spec
+    counts = np.rint(c)
+    c -= counts
+    if np.abs(c, out=c).max() >= 0.25:
+        return (_shift_or(a, b) & low) << (sa + sb)
+    del c
+    hits = np.zeros((size - 1) * g + 1, np.bool_)
+    hits[::g] = counts > 0
+    return _pack(hits) << (sa + sb)

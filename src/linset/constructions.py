@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,13 @@ class TruncatedSet:
         return len(self.elems)
 
     def __contains__(self, x):
-        return x in set(self.elems)
+        return x in self._elem_set
+
+    @cached_property
+    def _elem_set(self) -> frozenset:
+        # built on the first membership test; the dataclass fields, and so
+        # equality, hashing and repr, do not see it
+        return frozenset(self.elems)
 
     def density(self) -> Fraction:
         n = max(self.horizon, 1)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracle
 from linset import _bits as bits_module
-from linset._bits import (_BLOCK_BITS, _SHIFT_OR_BITS, _SMALL_BITS, _SPARSE_BITS, _bits,
-                          _class_sum, _fft_cutoff, _fft_or, _from_offsets, _min_period,
-                          _periodic_fill, _reflect, _reverse, _spread, convolve_or)
+from linset._bits import (_SMALL_BITS, _SPARSE_BITS, _bits, _class_sum, _fft_cutoff, _fft_or,
+                          _from_offsets, _min_period, _periodic_fill, _reflect, _reverse,
+                          _smooth_len, _spread, convolve_or)
 
 
 def ref_bits(mask):
@@ -60,7 +60,7 @@ def test_convolve_small_cases():
         check(rng.getrandbits(rng.randint(1, 40)), rng.getrandbits(rng.randint(1, 40)))
 
 
-@pytest.mark.parametrize("k", [_SHIFT_OR_BITS - 1, _SHIFT_OR_BITS, _SHIFT_OR_BITS + 1])
+@pytest.mark.parametrize("k", [63, 64, 65])
 def test_convolve_shift_or_limit(k):
     rng = random.Random(k)
     for width in (300, 5000):
@@ -102,12 +102,12 @@ def test_fft_path_on_small_operands():
         b = random_mask(rng, rng.randint(1, 300), rng.random())
         natural = a.bit_length() + b.bit_length() - 1
         assert _fft_or(a, b, natural) == ref_convolve(a, b)
-    # products one bit longer than a power of two: a transform one size
-    # too short would wrap the top bit onto bit 0
-    for k in (6, 10, 14):
-        n = (1 << (k - 1)) + 1
-        a = random_mask(rng, n, 0.3) & ~1
-        b = random_mask(rng, n, 0.3) & ~1
+    # products one bit longer than a 5-smooth length (bit 0 set, so no
+    # shift shortens them): a transform one point short would lose the top
+    for smooth in (1 << 6, 1 << 10, 1 << 14, 2 * 3 ** 6, 4 * 5 ** 4):
+        n = smooth // 2 + 1
+        a = random_mask(rng, n, 0.3) | 1
+        b = random_mask(rng, n, 0.3) | 1
         assert _fft_or(a, b, 2 * n - 1) == ref_convolve(a, b)
 
 
@@ -133,15 +133,14 @@ def test_convolve_width_truncation():
             check(m1, m2, width)
 
 
-@pytest.mark.parametrize("n", [_BLOCK_BITS - 1, _BLOCK_BITS, _BLOCK_BITS + 1,
-                               3 * _BLOCK_BITS + 17])
+@pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 17])
 def test_convolve_block_edges(n):
     rng = random.Random(n)
     a = random_mask(rng, n, 0.05)
     b = random_mask(rng, n, 0.01)
     check(a, b)
     check(a, b, n)
-    # all-ones operands: the counts reach 2^14, the most one block pair holds
+    # all-ones operands: the counts reach n, the most a product of this width holds
     ones = (1 << n) - 1
     assert convolve_or(ones, ones) == (1 << (2 * n - 1)) - 1
     check(ones, b | 1, n + 100)
@@ -149,8 +148,8 @@ def test_convolve_block_edges(n):
 
 def test_convolve_uneven_blocks():
     rng = random.Random(4)
-    wide = random_mask(rng, 5 * _BLOCK_BITS + 3, 0.01)
-    for n in (100, _BLOCK_BITS // 2, 2 * _BLOCK_BITS + 1):
+    wide = random_mask(rng, 5 * (1 << 14) + 3, 0.01)
+    for n in (100, 1 << 13, 2 * (1 << 14) + 1):
         check(wide, random_mask(rng, n, 0.1))
 
 
@@ -159,7 +158,7 @@ def test_convolve_large_pair():
     n = 1 << 19
     a = with_popcount(rng, n, 20000) | (1 << (n - 1))
     b = with_popcount(rng, n, 20000) | 1
-    # both far past the cutoff: 32 x 32 FFT block pairs
+    # both far past the cutoff: one transform
     assert min(a.bit_count(), b.bit_count()) > _fft_cutoff(2 * n)
     check(a, b)
     check(a, b, n)
@@ -167,14 +166,14 @@ def test_convolve_large_pair():
 
 def test_convolve_guard_falls_back_to_shift_or(monkeypatch):
     rng = random.Random(6)
-    a = random_mask(rng, 3 * _BLOCK_BITS, 0.2)
-    b = random_mask(rng, 2 * _BLOCK_BITS, 0.2)
+    a = random_mask(rng, 3 * (1 << 14), 0.2)
+    b = random_mask(rng, 2 * (1 << 14), 0.2)
     want = ref_convolve(a, b)
     irfft, shift_or = np.fft.irfft, bits_module._shift_or
     fallbacks = []
 
     def noisy_irfft(*args, **kwargs):
-        # one coefficient 0.3 off its integer: every block pair fails the guard
+        # one coefficient 0.3 off its integer: the product fails the guard
         out = irfft(*args, **kwargs)
         out[7] += 0.3
         return out
@@ -186,8 +185,119 @@ def test_convolve_guard_falls_back_to_shift_or(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     monkeypatch.setattr(bits_module, "_shift_or", counted_shift_or)
     assert convolve_or(a, b) == want
-    # 3 x 2 block pairs, all below the width
-    assert len(fallbacks) == 6
+    # one transform, so one whole-product fallback
+    assert len(fallbacks) == 1
+
+
+def test_smooth_len_is_least_5_smooth():
+    def smooth(x):
+        for f in (2, 3, 5):
+            while x % f == 0:
+                x //= f
+        return x == 1
+
+    for n in range(1, 3000):
+        s = _smooth_len(n)
+        assert s >= n and smooth(s) and not any(smooth(x) for x in range(n, s))
+    # a power of two would pad this product to 2^22 points
+    assert _smooth_len((1 << 21) + 1) == 2 ** 6 * 3 ** 8 * 5
+
+
+# -- the common lattice of the FFT path -------------------------------------------
+
+def lattice_operand(g, k, span, shift, seed):
+    """k set bits on the stride-g lattice above ``shift``: lattice points 0
+    and span - 1 (k >= 2) and k - 2 others below span."""
+    if k == 1:
+        return 1 << shift
+    points = [0, span - 1] + random.Random(seed).sample(range(1, span - 1), k - 2)
+    return _from_offsets([shift + g * p for p in points], shift + g * (span - 1) + 1)
+
+
+def lattice_natural(g, op1, op2):
+    # bit length of the full product of lattice_operand(g, *op1) and (g, *op2)
+    return sum(shift + g * (span - 1) + 1 for _, span, shift in (op1, op2)) - 1
+
+
+def _cutoff_example(g, delta):
+    # the sparser operand's popcount at the cutoff of the full product, plus delta
+    dense = (600, 700, 11)
+    k = _fft_cutoff(lattice_natural(g, (2, 1000, 4), dense)) + delta
+    return g, 7, (k, 1000, 4), dense, None
+
+
+@st.composite
+def lattice_cases(draw):
+    """A common stride, two operands on it above their own low shifts, and an
+    optional width that may cut the product between lattice points."""
+    g = draw(st.sampled_from((1, 2, 3, 5, 7, 12)))
+    ops = []
+    for _ in range(2):
+        k = draw(st.integers(1, 400))
+        span = k if k == 1 else draw(st.integers(max(k, 2), 3 * k))
+        ops.append((k, span, draw(st.integers(0, 300))))
+    natural = lattice_natural(g, *ops)
+    width = draw(st.none() | st.integers(1, natural + 3))
+    return g, draw(st.integers(0, 2 ** 16)), ops[0], ops[1], width
+
+
+@given(lattice_cases())
+@example((12, 1, (300, 400, 5), (350, 900, 17), None))        # stride 12, shifted
+@example((2, 2, (250, 260, 0), (400, 410, 1), None))
+@example((3, 3, (200, 600, 33), (220, 230, 2), None))
+@example((5, 4, (300, 300, 7), (301, 700, 0), None))
+@example((7, 5, (260, 500, 1), (300, 301, 9), None))
+@example((7, 6, (1, 1, 37), (300, 500, 3), None))               # one-bit operand: gcd 0
+@example((3, 6, (1, 1, 5), (1, 1, 8), None))                    # both one-bit
+@example((5, 8, (300, 400, 3), (300, 400, 4), 5 * 300 + 3))      # width between lattice points
+@example((12, 9, (300, 400, 0), (300, 400, 0), 12 * 350 + 7))
+@example(_cutoff_example(3, 0))
+@example(_cutoff_example(3, 1))
+@example(_cutoff_example(12, 1))
+@settings(max_examples=60, deadline=None)
+def test_convolve_on_common_lattice(case):
+    g, seed, op1, op2, width = case
+    m1 = lattice_operand(g, *op1, seed)
+    m2 = lattice_operand(g, *op2, seed + 1)
+    check(m1, m2, width)
+    # the FFT path itself, whatever the popcounts
+    natural = lattice_natural(g, op1, op2)
+    width = natural if width is None else min(width, natural)
+    full = (1 << width) - 1
+    if m1 & full and m2 & full:
+        assert _fft_or(m1 & full, m2 & full, width) == ref_convolve(m1, m2, width)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12), st.integers(0, 2 ** 16))
+@example(3, 1, 7, 0)
+@example(4, 3, 2, 1)
+@example(2, 1, 1, 2)
+@example(5, 5, 12, 3)
+@settings(max_examples=30, deadline=None)
+def test_convolve_window_spread(a, b, stride, seed):
+    # aW and -bW of a window W on a progression of stride s, as a sum builds
+    # them: their common lattice is s * gcd(a, b)
+    rng = random.Random(seed)
+    lo = rng.randint(-50, 50)
+    elems = [lo + stride * i for i in range(rng.randint(300, 700)) if rng.random() < 0.9]
+    hi = elems[-1]
+    amask = _from_offsets([a * (x - lo) for x in elems], a * (hi - lo) + 1)
+    bmask = _from_offsets([b * (hi - x) for x in elems], b * (hi - lo) + 1)
+    check(amask, bmask)
+    assert _fft_or(amask, bmask, amask.bit_length() + bmask.bit_length() - 1) \
+        == ref_convolve(amask, bmask)
+
+
+def test_convolve_scale_non_saturating():
+    # two 2^20-bit masks on even positions only: no sum is ever odd, so no
+    # part of the product saturates, and both operands pass the cutoff
+    rng = random.Random(12)
+    n = 1 << 20
+    sparse = _from_offsets([2 * i for i in rng.sample(range(n // 2), 3000)] + [n - 2], n)
+    dense = _from_offsets([i for i in range(0, n, 2) if rng.random() < 0.5] + [n - 2], n)
+    width = 2 * n - 3
+    assert min(sparse.bit_count(), dense.bit_count()) > _fft_cutoff(width)
+    assert convolve_or(sparse, dense) == ref_convolve(sparse, dense)
 
 
 # -- linear helpers --------------------------------------------------------------

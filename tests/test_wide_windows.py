@@ -154,3 +154,15 @@ def test_truncated_set_bounds():
     for elems in ((-1, 2), (2, 5)):
         with pytest.raises(InputError):
             TruncatedSet(elems, 4)
+
+
+def test_truncated_set_membership():
+    # an unsorted tuple is legal; its member set is built once per instance
+    t = TruncatedSet((0, 4, 2), 4)
+    assert [x in t for x in range(-1, 6)] == [False, True, False, True, False, True, False]
+    assert t._elem_set is t._elem_set == frozenset((0, 2, 4))
+    assert 4.0 in t and "4" not in t
+    # the cached set is no field: equality, hashing and repr ignore it
+    fresh = TruncatedSet((0, 4, 2), 4)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert TruncatedSet((), 4)._elem_set == frozenset()
