@@ -34,7 +34,7 @@ from ._bits import _SMALL_BITS
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
 from .epset import EPSet, InputError, ResourceLimitExceeded, set_window_cap, window_cap
-from .linops import OpSequence
+from .linops import LinearOp, OpSequence
 from .residue import (
     DecompositionCertificate,
     ResidueSet,
@@ -297,9 +297,17 @@ def parse_residue_set(text: str) -> ResidueSet:
     return ResidueSet(g, elems)
 
 
+# One (a,b)^k atom of the op grammar, every part after its "(" optional:
+# the groups that matched tell how far a malformed atom got, and so give
+# the error message and position the token-by-token reading would.
+_OP = re.compile(r"\s*\((?:\s*(%s)(?:\s*(,)(?:\s*(%s)(?:\s*(\))(?:\s*(\^)(?:\s*(%s))?)?)?)?)?)?"
+                 % (_INT, _INT, _INT))
+_WS = re.compile(r"\s*")
+
+
 def parse_ops(text: str) -> OpSequence:
     """Parse op sequences: ``(a,b)`` atoms, ``^k`` repetition, and the
-    cyclic extension marker ``cyc[...]``."""
+    cyclic extension marker ``cyc[...]``.  Each atom is one ``_OP`` match."""
     sc = _Scanner(text)
     cyclic = False
     if sc.peek() == "c":
@@ -308,24 +316,27 @@ def parse_ops(text: str) -> OpSequence:
         sc.take("[")
         cyclic = True
     ops = []
-    while sc.peek() == "(":
-        sc.take("(")
-        a = sc.integer()
-        sc.take(",")
-        b = sc.integer()
-        sc.take(")")
-        if a < 1 or b < 1:
-            raise SetSemanticError("operation entries must be positive")
+    made = {}       # (a, b) as matched -> its LinearOp, checked once
+    cap = window_cap()
+    i = sc.i
+    while m := _OP.match(text, i):
+        a, _, b, close, caret, _ = m.groups()
+        if close is None:
+            raise _atom_error(m)
+        op = made.get((a, b))
+        if op is None:
+            op = made[a, b] = _atom_op(m)
         reps = 1
-        if sc.peek() == "^":
-            sc.take("^")
-            reps = sc.integer()
+        if caret:
+            reps = _atom_int(m, 6)
             if reps < 1:
                 raise SetSemanticError("repetition count must be positive")
-        if len(ops) + reps > window_cap():
+        if len(ops) + reps > cap:
             raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
-                                        % (len(ops) + reps, window_cap()))
-        ops.extend([(a, b)] * reps)
+                                        % (len(ops) + reps, cap))
+        ops += [op] * reps
+        i = m.end()
+    sc.i = i
     if cyclic:
         sc.take("]")
     if not sc.at_end():
@@ -333,6 +344,34 @@ def parse_ops(text: str) -> OpSequence:
     if not ops:
         raise SetSyntaxError("empty operation sequence", sc.i)
     return OpSequence(tuple(ops), cyclic=cyclic)
+
+
+def _expected(m, what) -> SetSyntaxError:
+    """The error of an atom match m whose next part is missing: that part
+    is expected past the whitespace after the parts that matched."""
+    return SetSyntaxError("expected %s" % what, _WS.match(m.string, m.end()).end())
+
+
+def _atom_int(m, group: int) -> int:
+    if m.group(group) is None:
+        raise _expected(m, "an integer")
+    return _to_int(m, group)
+
+
+def _atom_op(m) -> LinearOp:
+    a, b = _to_int(m, 1), _to_int(m, 3)
+    if a < 1 or b < 1:
+        raise SetSemanticError("operation entries must be positive")
+    return LinearOp(a, b)
+
+
+def _atom_error(m) -> SetSyntaxError:
+    """The first error of an atom match m that stops before its ")"."""
+    _atom_int(m, 1)
+    if m.group(2) is None:
+        return _expected(m, "','")
+    _atom_int(m, 3)
+    return _expected(m, "')'")
 
 
 def random_ops(length: int, bound: int, seed: int, cyclic: bool = True) -> OpSequence:

@@ -129,11 +129,13 @@ class EPSet:
         if neg_tail < 0 or pos_tail < 0 or (neg_tail & ~full) or (pos_tail & ~full):
             raise ValueError("tail residues outside [0, period)")
 
-        # minimal modulus representing both tails
+        # minimal modulus representing both tails; at the given period the
+        # tail ints are kept as they are, not copied
         d = _min_period(period, neg_tail, pos_tail)
-        sub = (1 << d) - 1
-        neg = neg_tail & sub
-        pos = pos_tail & sub
+        neg, pos = neg_tail, pos_tail
+        if d < period:
+            sub = (1 << d) - 1
+            neg, pos = neg & sub, pos & sub
 
         bad_neg = window ^ _periodic_fill(neg, d, lo, width)
         bad_pos = window ^ _periodic_fill(pos, d, lo, width)
@@ -289,21 +291,7 @@ class EPSet:
 
     def dilate(self, n: int) -> "EPSet":
         """{n * x : x in S}.  n == 0 is rejected, not collapsed to {0}."""
-        if n == 0:
-            raise InputError("dilation by 0 is not defined for this algebra")
-        if n < 0:
-            return self.negate().dilate(-n)
-        if n == 1:
-            return self
-        g = self.period
-        width = self.hi - self.lo + 1
-        check_window(max(n * g, (width - 1) * n + 1))
-        if width > 0:
-            lo, hi = n * self.lo, n * self.hi
-        else:
-            lo, hi = n * self.lo, n * self.lo - 1
-        return EPSet(n * g, lo, hi, _spread(self.window, n, n * width),
-                     _spread(self.neg_tail, n, n * g), _spread(self.pos_tail, n, n * g))
+        return self if n == 1 else EPSet(*_dilated(self._key(), n))
 
     def union(self, *others: "EPSet") -> "EPSet":
         """The union of this set and ``others``, canonicalized once."""
@@ -325,33 +313,7 @@ class EPSet:
 
     def minkowski(self, other: "EPSet") -> "EPSet":
         """Exact sumset {x + y : x in S, y in T}."""
-        if self.is_empty() or other.is_empty():
-            return EPSet.empty()
-        s, t = self._key(), other._key()
-        # opposite tails first: they fill whole classes mod d, and when
-        # those are all the classes the sum is Z; else they spare the
-        # tail+tail pieces that lie inside them
-        d = math.gcd(s[0], t[0])
-        pieces = []
-        if self.pos_tail and other.neg_tail:
-            pieces.append(_sum_cross(s, t))
-        if other.pos_tail and self.neg_tail:
-            pieces.append(_sum_cross(t, s))
-        cover = 0
-        for p in pieces:
-            cover |= p[5]
-        if cover == (1 << d) - 1:
-            return EPSet.integers()
-        pieces += _up_pieces(s, t, cover)
-        if self.window and other.window:
-            pieces.append(_sum_windows(s, t))
-        if self.neg_tail or other.neg_tail:
-            # a downward piece uses each operand's downward tail, and its
-            # window only when the other operand has a downward tail
-            ns = _negated(s[:3] + (s[3] if other.neg_tail else 0, s[4], 0))
-            nt = _negated(t[:3] + (t[3] if self.neg_tail else 0, t[4], 0))
-            pieces += map(_negated, _up_pieces(ns, nt, _reflect(cover, d)))
-        return _union(pieces)
+        return _minkowski(self._key(), other._key())
 
     def __add__(self, other):
         if isinstance(other, EPSet):
@@ -360,7 +322,7 @@ class EPSet:
 
     def __sub__(self, other):
         if isinstance(other, EPSet):
-            return self.minkowski(other.negate())
+            return _minkowski(self._key(), _negated(other._key()))
         return NotImplemented
 
     # -- measurements ---------------------------------------------------------
@@ -430,7 +392,10 @@ def _decimals(xs) -> str:
 # A raw piece is the tuple (period, lo, hi, window, neg_tail, pos_tail) with
 # EPSet's membership rule and lo <= hi + 1, but no canonical form; an EPSet's
 # ``_key()`` is one.  ``_union`` ORs any list of pieces into one EPSet, so
-# both ``union`` and ``minkowski`` construct their result once.
+# both ``union`` and ``_minkowski`` construct their result once.  The
+# operands of a difference or of aS - bS stay raw: ``_negated`` and
+# ``_dilated`` give the pieces of -S and nS, and ``_minkowski`` sums any
+# two pieces, canonical or not, so no operand is canonicalized.
 #
 # A Minkowski sum is the union of the pairwise sums of the three parts of
 # each operand (window, upward tail, downward tail).  Two windows sum to a
@@ -441,13 +406,14 @@ def _decimals(xs) -> str:
 # tail fill T' is closed under +m, so a member w2 = w1 + k*m adds
 # w2 + T' ⊆ w1 + T' (``_first_of_class``).  Downward pieces are the upward
 # pieces of the negated operands, negated.  Every tail+tail piece has its
-# classes mod the same d = gcd of the operand periods, so ``minkowski``
+# classes mod the same d = gcd of the operand periods, so ``_minkowski``
 # builds the two cross pieces first: when they cover every class mod d the
 # sum is Z, and no other piece is built; else an up+up or down+down piece
-# whose classes they cover adds nothing and is skipped.  Two upward tails of periods m1, m2 (d = gcd)
-# saturate within a span of m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first
-# elements, the Frobenius bound of m1/d and m2/d scaled by d
-# (``_sum_up_up``); canonicalization removes any slack afterwards.
+# whose classes they cover adds nothing and is skipped.  Two upward tails
+# of periods m1, m2 (d = gcd) saturate within a span of
+# m1 + m2 + (m1/d - 1)(m2/d - 1)d past their first elements, the Frobenius
+# bound of m1/d and m2/d scaled by d (``_sum_up_up``); canonicalization
+# removes any slack afterwards.
 
 def _mask(p, a, b):
     """Membership bits of piece ``p`` over [a, b] (bit i <-> a + i)."""
@@ -470,6 +436,53 @@ def _negated(p):
     """The piece of {-x : x in p}."""
     g, lo, hi, window, neg, pos = p
     return (g, -hi, -lo, _reverse(window, hi - lo + 1), _reflect(pos, g), _reflect(neg, g))
+
+
+def _dilated(p, n):
+    """The piece of {n * x : x in p}, n != 0.  The window cap is checked
+    for the period n*g and the span of the spread window before any mask
+    is spread."""
+    if n == 0:
+        raise InputError("dilation by 0 is not defined for this algebra")
+    if n < 0:
+        p, n = _negated(p), -n
+    if n == 1:
+        return p
+    g, lo, hi, window, neg, pos = p
+    width = hi - lo + 1
+    check_window(max(n * g, (width - 1) * n + 1))
+    return (n * g, n * lo, n * hi if width > 0 else n * lo - 1, _spread(window, n, n * width),
+            _spread(neg, n, n * g), _spread(pos, n, n * g))
+
+
+def _minkowski(s, t):
+    """The EPSet of the sumset of raw pieces s and t."""
+    if not (s[3] or s[4] or s[5]) or not (t[3] or t[4] or t[5]):
+        return EPSet.empty()
+    # opposite tails first: they fill whole classes mod d, and when
+    # those are all the classes the sum is Z; else they spare the
+    # tail+tail pieces that lie inside them
+    d = math.gcd(s[0], t[0])
+    pieces = []
+    if s[5] and t[4]:
+        pieces.append(_sum_cross(s, t))
+    if t[5] and s[4]:
+        pieces.append(_sum_cross(t, s))
+    cover = 0
+    for p in pieces:
+        cover |= p[5]
+    if cover == (1 << d) - 1:
+        return EPSet.integers()
+    pieces += _up_pieces(s, t, cover)
+    if s[3] and t[3]:
+        pieces.append(_sum_windows(s, t))
+    if s[4] or t[4]:
+        # a downward piece uses each operand's downward tail, and its
+        # window only when the other operand has a downward tail
+        ns = _negated(s[:3] + (s[3] if t[4] else 0, s[4], 0))
+        nt = _negated(t[:3] + (t[3] if s[4] else 0, t[4], 0))
+        pieces += map(_negated, _up_pieces(ns, nt, _reflect(cover, d)))
+    return _union(pieces)
 
 
 def _union(pieces):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import _image, _periodic_fill
-from .epset import EPSet, InputError, check_window, window_cap
+from .epset import EPSet, InputError, _dilated, _minkowski, check_window, window_cap
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,8 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     ``_image(U, a, -b, G)``; G past ``window_cap()`` raises
     ``WindowCapExceeded`` before any G-bit mask is built.  Every other S
     is the Minkowski sum of aS and -bS, which is refused when a dilated
-    operand or the sum needs a window or period past the cap.
+    operand or the sum needs a window or period past the cap.  The
+    operands are raw pieces (``epset._dilated``), not EPSet values.
     """
     if s.is_empty():
         return s
@@ -330,7 +331,8 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
         check_window(G)
         m = _image(_periodic_fill(s.pos_tail, s.period, 0, G), op.a, -op.b, G)
         return EPSet(G, 0, -1, 0, m, m)
-    return s.dilate(op.a).minkowski(s.negate().dilate(op.b))
+    k = s._key()
+    return _minkowski(_dilated(k, op.a), _dilated(k, -op.b))
 
 
 def apply_composition(seq, s: EPSet) -> EPSet:

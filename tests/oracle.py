@@ -14,13 +14,14 @@ from itertools import product
 
 from fractions import Fraction
 
-from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, convolve_or
+from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, _spread, convolve_or
 from linset.analysis import dplus
-from linset.cli import SetSyntaxError
+from linset.cli import SetSemanticError, SetSyntaxError, _Scanner
 from linset.constructions import TruncatedSet
 from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
-                          _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window)
-from linset.linops import apply_linear_op
+                          _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window,
+                          window_cap)
+from linset.linops import OpSequence, apply_linear_op
 from linset.residue import ResidueOrbit, gamma_mod, totient
 from linset.stability import IterationTrace, full_periodicity_onset
 
@@ -214,6 +215,34 @@ def minkowski_key(s, t):
     if t.pos_tail and s.neg_tail:
         pieces.append(_sum_cross(b, a))
     return _union(pieces)._key()
+
+
+# -- the canonical operands that raw ones replaced -----------------------------
+# EPSet.dilate as it stood before ``epset._dilated``: a negative factor
+# negates the canonical value first, and the result is a canonical EPSet.
+# ``linear_op_step`` is the non-periodic step of ``apply_linear_op`` that
+# summed these canonical values aS and -bS.
+
+def dilate(s, n):
+    if n == 0:
+        raise InputError("dilation by 0 is not defined for this algebra")
+    if n < 0:
+        return dilate(s.negate(), -n)
+    if n == 1:
+        return s
+    g = s.period
+    width = s.hi - s.lo + 1
+    check_window(max(n * g, (width - 1) * n + 1))
+    if width > 0:
+        lo, hi = n * s.lo, n * s.hi
+    else:
+        lo, hi = n * s.lo, n * s.lo - 1
+    return EPSet(n * g, lo, hi, _spread(s.window, n, n * width),
+                 _spread(s.neg_tail, n, n * g), _spread(s.pos_tail, n, n * g))
+
+
+def linear_op_step(op, s):
+    return dilate(s, op.a).minkowski(dilate(s, -op.b))
 
 
 # -- the canonical form that EPSet's loop-free trim replaced -------------------
@@ -483,3 +512,43 @@ def int_literal(sc):
     if body and not comma:
         raise SetSyntaxError("expected '}'", sc.i)
     raise SetSyntaxError("expected an integer", sc.i)
+
+
+# -- the token-by-token op grammar that the one-pattern parse replaced ---------
+# ``cli.parse_ops`` as it stood before ``cli._OP``: one _Scanner step per
+# token.
+
+def parse_ops(text):
+    sc = _Scanner(text)
+    cyclic = False
+    if sc.peek() == "c":
+        if sc.name() != "cyc":
+            raise SetSyntaxError("expected 'cyc'", sc.i)
+        sc.take("[")
+        cyclic = True
+    ops = []
+    while sc.peek() == "(":
+        sc.take("(")
+        a = sc.integer()
+        sc.take(",")
+        b = sc.integer()
+        sc.take(")")
+        if a < 1 or b < 1:
+            raise SetSemanticError("operation entries must be positive")
+        reps = 1
+        if sc.peek() == "^":
+            sc.take("^")
+            reps = sc.integer()
+            if reps < 1:
+                raise SetSemanticError("repetition count must be positive")
+        if len(ops) + reps > window_cap():
+            raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
+                                        % (len(ops) + reps, window_cap()))
+        ops.extend([(a, b)] * reps)
+    if cyclic:
+        sc.take("]")
+    if not sc.at_end():
+        raise SetSyntaxError("trailing input", sc.i)
+    if not ops:
+        raise SetSyntaxError("empty operation sequence", sc.i)
+    return OpSequence(tuple(ops), cyclic=cyclic)

@@ -4,7 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import random_epset
 import linset.cli as cli
 from linset.cli import (
@@ -249,6 +252,55 @@ def test_cli_residue_budget_exit_code(capsys):
                 "--max-steps", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "resource limit: orbit did not close within 1 steps\n"
+
+
+# pieces of op text: every token of the grammar, whitespace, signs, a
+# non-ASCII decimal digit, a digit that int() refuses, and stray characters
+OP_TOKENS = ["(", ")", ",", "^", "cyc", "cyc[", "[", "]", "c", "cy", "x", " ", "\t",
+             "\u2003", "0", "1", "3", "12", "-1", "+2", "\u0663", "\u00b2", "(2,1)", "(3,2)^4"]
+
+
+def op_outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except SetSyntaxError as e:
+        return "syntax", str(e), e.pos
+    except (SetSemanticError, ResourceLimitExceeded) as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def op_texts(draw):
+    """Well-formed op text with whitespace between tokens, then at most
+    one character inserted, dropped or replaced."""
+    ws = st.sampled_from(["", "", " ", "\t ", "\n"])
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        reps = "" if draw(st.booleans()) else "%s^%s%d" % (draw(ws), draw(ws),
+                                                          draw(st.integers(1, 5)))
+        atoms.append("(%s%d%s,%s%d%s)%s" % (draw(ws), a, draw(ws), draw(ws), b, draw(ws), reps))
+    text = draw(ws).join(atoms)
+    if draw(st.booleans()):
+        text = "%scyc%s[%s%s]%s" % (draw(ws), draw(ws), text, draw(ws), draw(ws))
+    edit = draw(st.sampled_from(["", "insert", "drop", "replace"]))
+    if edit and text:
+        i = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from("(),^[]c01-x \u0663"))
+        text = {"insert": text[:i] + ch + text[i:], "drop": text[:i] + text[i + 1:],
+                "replace": text[:i] + ch + text[i + 1:]}[edit]
+    return text
+
+
+@given(st.one_of(op_texts(), st.lists(st.sampled_from(OP_TOKENS), max_size=12).map("".join)))
+@example("(2,1)^" + "1" + "0" * 4999)
+@example("(2,1)^(3,1)")
+@example(" cyc [ (2 ,1 ) ^ 3 ( 3, 2) ] ")
+@example("cycx[(2,1)]")
+@settings(max_examples=600, deadline=None)
+def test_parse_ops_matches_token_parse(text):
+    # the same sequence, or the same error with the same message and position
+    assert op_outcome(parse_ops, text) == op_outcome(oracle.parse_ops, text)
 
 
 def test_parse_ops_repetition_cap():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import oracle
 from conftest import allocates_below, epsets, random_epset
 from linset._bits import _periodic_fill
-from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, WindowCapExceeded, set_window_cap,
-                          window_cap)
+from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, WindowCapExceeded, _dilated, _minkowski,
+                          _negated, set_window_cap, window_cap)
 
 R = 200  # comparison radius for oracle checks
 
@@ -279,6 +279,61 @@ def test_unary_ops_match_oracle(s):
     check_oracle(s.restrict_nonnegative(), oracle.restrict_nonnegative_bitmap(s, R))
     for n in (2, 3, -2):
         check_oracle(s.dilate(n), oracle.dilate_bitmap(s, n, R))
+
+
+# -- raw operands ----------------------------------------------------------------
+
+def capped(make, cap):
+    """make() under the window cap ``cap``: its value, or the size of the
+    window that it was refused."""
+    old = window_cap()
+    try:
+        set_window_cap(cap)
+        return make()
+    except WindowCapExceeded as e:
+        return "refused", e.requested
+    finally:
+        set_window_cap(old)
+
+
+@given(epsets(), st.sampled_from([1, 2, 3, 5, -1, -2, -3, -5]), st.integers(0, 160))
+@example(EPSet.half_line(0, 2, 0), -3, 200)     # its negated key is not canonical
+@example(EPSet.from_iterable([0, 40]), 4, 100)  # the window span is refused
+@settings(max_examples=300, deadline=None)
+def test_dilated_matches_replaced_dilate(s, n, spare):
+    # the same value, or the same refusal, as the canonical EPSet.dilate,
+    # under a cap that s itself fits
+    cap = max(s.period, s.hi - s.lo + 1) + spare
+    got = capped(lambda: _dilated(s._key(), n), cap)
+    if got[0] != "refused":
+        got = EPSet(*got)
+    assert got == capped(lambda: oracle.dilate(s, n), cap)
+    assert got == capped(lambda: s.dilate(n), cap)
+
+
+def piece(p):
+    """A raw piece with the field names that the oracles read."""
+    return SimpleNamespace(period=p[0], lo=p[1], hi=p[2], window=p[3], neg_tail=p[4],
+                           pos_tail=p[5])
+
+
+finite_sets = st.lists(st.integers(-12, 12), min_size=1, max_size=6).map(EPSet.from_iterable)
+
+
+@given(st.one_of(epsets(max_period=6, span=12), finite_sets),
+       st.one_of(epsets(max_period=6, span=12), finite_sets),
+       st.sampled_from([1, 2, 3, -1, -2]), st.sampled_from([1, 2, 3, -1, -3]))
+@example(EPSet.half_line(0, 2, 0), EPSet.from_iterable([1, 5]), -1, 2)
+@example(EPSet.half_line(1, 4, 3), EPSet.half_line_down(0, 6, -2), -2, -3)
+@settings(max_examples=200, deadline=None)
+def test_minkowski_of_raw_pieces(s, t, n, m):
+    # dilated keys have period n * g, a finite operand's has period n, and a
+    # negated key need not be canonical
+    p, q = _dilated(s._key(), n), _dilated(t._key(), m)
+    got = _minkowski(p, q)
+    check_oracle(got, oracle.sum_bitmap(piece(p), piece(q), R))
+    assert got == oracle.dilate(s, n).minkowski(oracle.dilate(t, m))
+    assert _minkowski(s._key(), _negated(t._key())) == s - t == s + t.negate()
 
 
 @given(epsets(), epsets(), epsets())

@@ -5,12 +5,12 @@ import random
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import epsets
-from linset import linops
+from linset import epset, linops
 from linset.cli import random_ops
 from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import (
@@ -283,15 +283,17 @@ def test_periodic_fast_path_edges():
 
 def test_periodic_input_never_reaches_minkowski(monkeypatch):
     calls = []
-    real = EPSet.minkowski
+    real = epset._minkowski
 
-    def spy(self, other):
-        calls.append((self, other))
-        return real(self, other)
+    def spy(s, t):
+        calls.append((s, t))
+        return real(s, t)
 
     def refuse(*args):
         raise AssertionError("the periodic step built a ResidueSet")
-    monkeypatch.setattr(EPSet, "minkowski", spy)
+    # the sum of raw pieces, where epset and linops hold it
+    monkeypatch.setattr(epset, "_minkowski", spy)
+    monkeypatch.setattr(linops, "_minkowski", spy)
     # the periodic step is one residue image on bare masks
     monkeypatch.setattr(ResidueSet, "__init__", refuse)
     monkeypatch.setattr(ResidueSet, "from_mask", classmethod(refuse))
@@ -308,6 +310,29 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
         assert not s.is_fully_periodic()
         apply_linear_op(LinearOp(3, 1), s)
         assert len(calls) == k
+
+
+@given(epsets(max_period=8, span=16), st.sampled_from([(2, 1), (3, 1), (1, 3), (3, 2), (2, 2),
+                                                      (6, 4), (5, 1)]),
+       st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_raw_operands_match_canonical_ones(s, ab, spare):
+    # aS - bS from raw operands is the value, or the refusal, of the sum of
+    # the canonical values aS and -bS, under any cap that S fits
+    assume(not s.is_fully_periodic())
+    cap = max(s.period, s.hi - s.lo + 1) + spare
+    op = LinearOp(*ab)
+    outcomes = []
+    for step in (apply_linear_op, oracle.linear_op_step):
+        old = window_cap()
+        try:
+            set_window_cap(cap)
+            outcomes.append(step(op, s))
+        except WindowCapExceeded as e:
+            outcomes.append(("refused", e.requested))
+        finally:
+            set_window_cap(old)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_periodic_fast_path_cap():

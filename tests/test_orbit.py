@@ -124,6 +124,85 @@ def test_iterate_trace_named_cases(set_expr, ops, max_k):
     same_trace(parse_set_expression(set_expr), parse_ops(ops), max_k)
 
 
+# the periodic phase: the masks mod the switch's period g shrink to a
+# canonical period below g (to Z in the first case), and with a
+# non-coprime op every state stays an EPSet
+PHASE_CASES = [
+    ("U(AP(0,6),AP(1,6))", "cyc[(2,1)]", [6, 6, 1, 1]),
+    ("U(AP(1,12),AP(4,12))", "cyc[(2,1)(3,2)]", [12, 3, 3, 3]),
+    ("U(AP(0,12),AP(6,12),AP(4,12))", "cyc[(1,1)]", [12, 2, 2]),
+    ("U(AP+(1,6,1),{0})", "cyc[(2,1)(3,1)]", [None, None, None, 1, 1, 1]),
+    ("U(AP(0,6),AP(1,6))", "cyc[(2,2)(2,1)]", None),
+    ("AP+(1,3,1)", "(2,1)(4,2)(3,1)^3", None),
+]
+
+
+@pytest.mark.parametrize("set_expr,ops,periods", PHASE_CASES)
+def test_iterate_trace_periodic_phase(set_expr, ops, periods):
+    s, seq = parse_set_expression(set_expr), parse_ops(ops)
+    tr = iterate_trace(s, seq)
+    assert field_values(tr) == field_values(oracle.iterate_trace(s, seq))
+    if periods is not None:
+        assert [x.full_period() for x in tr.iterates] == periods
+
+
+def test_periodic_phase_steps_without_epsets(monkeypatch):
+    # from the first fully periodic iterate on, a step is one residue image
+    s, seq = parse_set_expression("U(AP+(1,6,1),{0})"), parse_ops("cyc[(2,1)(3,1)(1,2)]")
+    tr = oracle.iterate_trace(s, seq, max_k=40)
+    onset = tr.periodicity_onset[0]
+    stepped = []
+    real = stability.apply_linear_op
+    monkeypatch.setattr(stability, "apply_linear_op",
+                        lambda op, x: stepped.append(x) or real(op, x))
+    assert field_values(iterate_trace(s, seq, max_k=40)) == field_values(tr)
+    assert stepped == tr.iterates[:onset]
+    # one EPSet per distinct iterate
+    assert len({id(x) for x in iterate_trace(s, seq, max_k=40).iterates}) == tr.distinct_count
+    # a non-coprime op keeps every step on EPSets
+    stepped.clear()
+    tr = iterate_trace(s, parse_ops("cyc[(2,1)(3,1)(2,2)]"), max_k=6)
+    assert stepped == tr.iterates[:6]
+
+
+def test_mask_states_hash_apart():
+    # hash(int) is the int mod 2^61 - 1, so the bare masks 1 << k and
+    # 1 << (k + 61) share a hash; the states hash by _hash_key
+    g, seq = 4099, parse_ops("(2,1)")
+    for k in range(0, g - 61, 101):
+        x, y = (stability._MaskPhase(seq).state(EPSet.residue_class(r, g)) for r in (k, k + 61))
+        assert x != y and hash(x) != hash(y)
+
+
+COPRIME = [(1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3), (4, 3), (5, 2)]
+NOT_COPRIME = [(2, 2), (4, 2), (3, 3), (2, 4), (6, 4)]
+
+
+@st.composite
+def periodic_starts(draw):
+    """U + gZ, or U + gZ with the membership of one point flipped."""
+    g = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 15]))
+    mask = draw(st.integers(0, (1 << g) - 1))
+    x = draw(st.integers(-6, 6))
+    flip = draw(st.booleans())
+    return EPSet(g, x, x, ((mask >> x % g) & 1) ^ flip, mask, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_starts(), st.booleans(), st.booleans(),
+       st.lists(st.sampled_from(COPRIME), min_size=1, max_size=4),
+       st.lists(st.sampled_from(NOT_COPRIME), max_size=1), st.integers(0, 30))
+def test_iterate_trace_matches_replaced_loop_from_periodic_sets(s, cyclic, mixed, ops, extra,
+                                                                max_k):
+    seq = OpSequence(tuple(ops + extra if mixed else ops), cyclic=cyclic)
+    old = window_cap()
+    try:
+        set_window_cap(512)
+        same_trace(s, seq, max_k)
+    finally:
+        set_window_cap(old)
+
+
 def test_iterate_trace_window_cap_keeps_partial_iterates():
     s, seq = parse_set_expression("{0,50,131}"), parse_ops("(3,2)^8")
     old = window_cap()
