@@ -7,6 +7,11 @@ residue image U -> aU + bU mod g of one set is one kernel on such masks,
 ``_image``: the fully periodic step of ``apply_linear_op`` and the
 per-set residue functions call it.
 
+Each job has one implementation here, which every caller uses:
+``_members`` is the one walk over a mask's set bits, ``_shift_or`` the one
+shift-or, and ``_prime_factors`` the one trial division (``_min_period``
+and ``residue.totient`` both factor through it).
+
 Every helper here is linear in the mask width w, but for three.
 ``_min_period`` tests each prime factor of m, O(w log m) at worst.
 ``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
@@ -30,14 +35,14 @@ minus a base.  They compute in int64 while |base| + width < 2^62, and in
 Python ints (object dtype) otherwise; ``_int_dtype`` makes that choice
 for them and for the bulk arithmetic of ``constructions``.
 
-Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit,
-stopping early once every output bit is set.  When that operand has more
-set bits than ``_fft_cutoff(width)``, the product is one transform
-instead: each operand is shifted down by its lowest set bit and divided by
-g, the gcd of the offsets of all set bits of both, and the two reduced 0/1
-arrays are multiplied as polynomials in float64 by one numpy
-``rfft``/``rfft``/``irfft`` of the least 5-smooth length n >= their
-product's length.  Each coefficient c is an integer count, and the
+Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit
+(``_shift_or``), stopping early once every output bit is set.  When that
+operand has more set bits than ``_fft_cutoff(width)``, the product is one
+transform instead: each operand is shifted down by its lowest set bit
+and divided by g, the gcd of the offsets of all set bits of both, and the
+two reduced 0/1 arrays are multiplied as polynomials in float64 by one
+numpy ``rfft``/``rfft``/``irfft`` of the least 5-smooth length n >=
+their product's length.  Each coefficient c is an integer count, and the
 float64 error of an FFT product is at most ||x||_2 ||y||_2 * O(eps log n)
 with accurate twiddle factors (Percival, Math. Comp. 2003; Brent and
 Zimmermann, Modern Computer Arithmetic, 3.3).  For 0/1 operands of at most
@@ -46,8 +51,8 @@ w bits ||x||_2 ||y||_2 <= w, so the error is below w * O(eps log n): about
 below 1/4 (4.7e-10 measured on all-ones operands of 2^20 bits).  So
 rounding recovers every count exactly and a bit is set iff its rounded
 count is positive.  A guard still checks |c - rint(c)| < 1/4 on every
-coefficient; a product that fails it is recomputed whole by shift-or, so
-no bit rests on an unchecked float.
+coefficient; a product that fails it is recomputed whole by ``_shift_or``,
+so no bit rests on an unchecked float.
 """
 
 from __future__ import annotations
@@ -56,21 +61,10 @@ import math
 
 import numpy as np
 
-_SMALL_BITS = 256        # _bits walks masks up to this width bit by bit,
+_SMALL_BITS = 256        # _members walks masks up to this width bit by bit,
 _SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
 _FFT_MIN_BITS = 256      # convolve_or shift-ors sparser operands of this many bits or fewer
 _EXACT = 1 << 62         # int64 index arithmetic stays below this magnitude
-
-
-def _bits(mask):
-    """Set bit positions of mask, ascending (a generator)."""
-    if mask.bit_length() > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS:
-        yield from _members(mask, 0)
-        return
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _int_dtype(reach: int):
@@ -80,17 +74,22 @@ def _int_dtype(reach: int):
     return np.int64 if reach < _EXACT else object
 
 
-def _members(mask: int, base: int) -> list:
+def _members(mask: int, base: int = 0) -> list:
     """The integers base + i over the set bits i of mask, ascending.
 
     A wide mask with many members goes through one index array, with base
     added in int64 when |base| + width stays below 2^62 and in Python ints
-    otherwise; a narrow or sparse one is walked bit by bit, as in _bits."""
+    otherwise; a narrow or sparse one is walked bit by bit."""
     width = mask.bit_length()
-    if width <= _SMALL_BITS or mask.bit_count() <= _SPARSE_BITS:
-        return [base + i for i in _bits(mask)]
-    offsets = np.flatnonzero(_unpack(mask, width))
-    return (offsets.astype(_int_dtype(abs(base) + width), copy=False) + base).tolist()
+    if width > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS:
+        offsets = np.flatnonzero(_unpack(mask, width))
+        return (offsets.astype(_int_dtype(abs(base) + width), copy=False) + base).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(base + low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _unpack(mask: int, width: int):
@@ -208,6 +207,22 @@ def _first_of_class(mask: int, m: int) -> int:
     return mask & ~seen
 
 
+def _prime_factors(m: int) -> list:
+    """The distinct prime factors of m, ascending, by trial division up to
+    the square root of what is left (none for m <= 1)."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _min_period(m: int, *masks) -> int:
     """Smallest divisor d of m under which every residue mask mod m is
     rotation-invariant (d == m when none smaller is).
@@ -217,25 +232,18 @@ def _min_period(m: int, *masks) -> int:
     the masks stay invariant: a test per prime factor of m, however many
     divisors m has.  A mask is invariant under a divisor k of m iff bit i
     equals bit i + k for every i < m - k."""
-    d = rest = m
-    p = 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest        # the last prime factor
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            while d % p == 0:
-                k = d // p
-                low = (1 << (m - k)) - 1
-                for x in masks:
-                    if x >> k != x & low:
-                        break
-                else:
-                    d = k
-                    continue
-                break
-        p += 1
+    d = m
+    for p in _prime_factors(m):
+        while d % p == 0:
+            k = d // p
+            low = (1 << (m - k)) - 1
+            for x in masks:
+                if x >> k != x & low:
+                    break
+            else:
+                d = k
+                continue
+            break
     return d
 
 
@@ -290,14 +298,7 @@ def convolve_or(m1: int, m2: int, width=None) -> int:
     # the call), else shift-or the sparser operand bit by bit
     if k > _FFT_MIN_BITS and k > _fft_cutoff(width):
         return _fft_or(m1, m2, width)
-    out = 0
-    for _ in range(k):
-        low = m1 & -m1
-        out = (out | (m2 << (low.bit_length() - 1))) & full
-        if out == full:
-            return out
-        m1 ^= low
-    return out
+    return _shift_or(m1, m2, full)
 
 
 def _fft_cutoff(width: int) -> int:
@@ -313,11 +314,14 @@ def _fft_cutoff(width: int) -> int:
     return _FFT_MIN_BITS + math.isqrt(width)
 
 
-def _shift_or(m1: int, m2: int) -> int:
-    # the reference form of convolve_or, for products the guard rejects
+def _shift_or(m1: int, m2: int, full: int) -> int:
+    # the bits within full of m2 shifted by each set bit of m1, ORed; stops
+    # once every bit of full is set
     out = 0
-    for i in _bits(m1):
-        out |= m2 << i
+    for i in _members(m1):
+        out = (out | (m2 << i)) & full
+        if out == full:
+            break
     return out
 
 
@@ -368,7 +372,7 @@ def _fft_or(a: int, b: int, width: int) -> int:
     counts = np.rint(c)
     c -= counts
     if np.abs(c, out=c).max() >= 0.25:
-        return (_shift_or(a, b) & low) << (sa + sb)
+        return _shift_or(a, b, low) << (sa + sb)
     del c
     hits = np.zeros((size - 1) * g + 1, np.bool_)
     hits[::g] = counts > 0

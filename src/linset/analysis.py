@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from ._bits import _fold_mod, _periodic_fill, _rotate
 from ._orbit import orbit
-from .epset import EPSet, InputError, ResourceLimitExceeded, _minkowski, _negated
+from .epset import EPSet, InputError, ResourceLimitExceeded
 from .linops import LinearOp, apply_linear_op
 
 
@@ -172,7 +172,7 @@ def difference_fully_periodic_check(a_set: EPSet, g: int, b_set: EPSet,
     if not (ok_a and ok_b):
         raise InputError("inputs must be semi-periodic for the stated moduli")
     d = math.gcd(g, g2)
-    diff = _minkowski(a_set._key(), _negated(b_set._key()))
+    diff = a_set - b_set
     fully = diff == diff.translate(d)
     return DifferencePeriodicityReport(d, True, fully, diff)
 
@@ -184,8 +184,7 @@ def dplus(a: EPSet) -> EPSet:
     mn = a.min_element()
     if mn is None or mn < 0:
         raise InputError("positive difference is defined for subsets of N")
-    k = a._key()
-    return _minkowski(k, _negated(k)).restrict_nonnegative()
+    return (a - a).restrict_nonnegative()
 
 
 def stability_time(a: EPSet, max_k: int = 128):

@@ -24,7 +24,6 @@ import math
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -652,6 +651,7 @@ def cmd_sweep(args):
     cells = [(se, oe, args.L, args.c, args.max_steps, window_cap())
              for se in sets for oe in expanded_ops]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loaded only where it runs
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_sweep_cell, cells))
     else:

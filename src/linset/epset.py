@@ -18,9 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._bits import (_bits, _class_sum, _first_of_class, _fold_mod, _from_offsets, _hash_key,
-                    _members, _min_period, _periodic_fill, _reflect, _reverse,
-                    _rotate, _spread, convolve_or)
+from ._bits import (_class_sum, _first_of_class, _fold_mod, _from_offsets, _hash_key, _members,
+                    _min_period, _periodic_fill, _reflect, _reverse, _rotate, _spread, convolve_or)
 
 DEFAULT_WINDOW_CAP = 1 << 20
 
@@ -366,15 +365,15 @@ class EPSet:
             return "N"
         g = self.period
         if self.is_fully_periodic():
-            parts = ["AP(%d,%d)" % (r, g) for r in _bits(self.pos_tail)]
+            parts = ["AP(%d,%d)" % (r, g) for r in _members(self.pos_tail)]
             return parts[0] if len(parts) == 1 else "U(%s)" % ",".join(parts)
         parts = []
-        for r in _bits(self.neg_tail):
+        for r in _members(self.neg_tail):
             last = self.lo - 1 - ((self.lo - 1 - r) % g)
             parts.append("AP-(%d,%d,%d)" % (last, g, last))
         if self.window:
             parts.append("{%s}" % _decimals(_members(self.window, self.lo)))
-        for r in _bits(self.pos_tail):
+        for r in _members(self.pos_tail):
             first = self.hi + 1 + ((r - self.hi - 1) % g)
             parts.append("AP+(%d,%d,%d)" % (first, g, first))
         return parts[0] if len(parts) == 1 else "U(%s)" % ",".join(parts)

@@ -22,24 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import (_bits, _class_sum, _fold_mod, _from_offsets, _hash_key, _image,
-                    _min_period, _periodic_fill, _rotate, _spread)
+from ._bits import (_class_sum, _fold_mod, _from_offsets, _hash_key, _image, _members,
+                    _min_period, _periodic_fill, _prime_factors, _rotate, _spread)
 from ._orbit import orbit
-from .epset import InputError, ResourceLimitExceeded, check_window, window_cap
+from .epset import InputError, ResourceLimitExceeded, _decimals, check_window, window_cap
 
 
 def totient(n: int) -> int:
     out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in _prime_factors(n):
+        out -= out // p
     return out
 
 
@@ -78,7 +70,7 @@ class ResidueSet:
 
     @property
     def elems(self) -> frozenset:
-        return frozenset(_bits(self.mask))
+        return frozenset(_members(self.mask))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -87,7 +79,7 @@ class ResidueSet:
         return bool((self.mask >> (x % self.modulus)) & 1)
 
     def __iter__(self):
-        return _bits(self.mask)
+        return iter(_members(self.mask))
 
     def __hash__(self):
         return hash((self.modulus, _hash_key(self.mask)))
@@ -113,7 +105,7 @@ class ResidueSet:
         return ResidueSet.from_mask(self.modulus, _rotate(self.mask, c, self.modulus))
 
     def to_expr(self) -> str:
-        return "mod %d {%s}" % (self.modulus, ",".join(map(str, self)))
+        return "mod %d {%s}" % (self.modulus, _decimals(_members(self.mask)))
 
     def __str__(self):
         return self.to_expr()
@@ -204,7 +196,7 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     g = u.modulus
     translation = (u.mask & -u.mask).bit_length() - 1
     u0 = _rotate(u.mask, -translation, g)
-    if math.gcd(g, *_bits(u0)) != 1:
+    if math.gcd(g, *_members(u0)) != 1:
         return DecompositionFailure("contained in a proper subgroup")
     if _image(u.mask, a, b, g).bit_count() != len(u):
         return DecompositionFailure("cardinality not preserved")
@@ -228,13 +220,13 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     base = comps[0]
     reps = []
     for xs in comps:
-        delta = next((c for c in _bits(xs) if _rotate(xs, -c, g1) == base), None)
+        delta = next((c for c in _members(xs) if _rotate(xs, -c, g1) == base), None)
         if delta is None:
             return DecompositionFailure("components are not translates of each other")
         reps.append(delta)
 
     v = tuple(sorted(reps))
-    x_part = tuple(_bits(base))
+    x_part = tuple(_members(base))
     if any(val % a1 for val in v):
         return DecompositionFailure("representatives escape the a-side subgroup")
 
@@ -279,7 +271,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     preserved = all(m.bit_count() == size for m in cycle)
     divisibility = None
     for m, image in zip(cycle, images):
-        if not (m & 1) or math.gcd(g, *_bits(m)) != 1:
+        if not (m & 1) or math.gcd(g, *_members(m)) != 1:
             continue
         if image.bit_count() == m.bit_count():
             divisibility = (totient(a) * totient(b)) % length == 0

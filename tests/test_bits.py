@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracle
 from linset import _bits as bits_module
-from linset._bits import (_SMALL_BITS, _SPARSE_BITS, _bits, _class_sum, _fft_cutoff, _fft_or,
-                          _from_offsets, _min_period, _periodic_fill, _reflect, _reverse,
-                          _smooth_len, _spread, convolve_or)
+from linset._bits import (_SMALL_BITS, _SPARSE_BITS, _class_sum, _fft_cutoff, _fft_or,
+                          _from_offsets, _members, _min_period, _periodic_fill, _prime_factors,
+                          _reflect, _reverse, _smooth_len, _spread, convolve_or)
 
 
 def ref_bits(mask):
@@ -178,9 +178,9 @@ def test_convolve_guard_falls_back_to_shift_or(monkeypatch):
         out[7] += 0.3
         return out
 
-    def counted_shift_or(x, y):
+    def counted_shift_or(x, y, full):
         fallbacks.append(1)
-        return shift_or(x, y)
+        return shift_or(x, y, full)
 
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     monkeypatch.setattr(bits_module, "_shift_or", counted_shift_or)
@@ -309,7 +309,7 @@ def test_linear_helpers_match_loops(width):
               for k in (1, 3, _SPARSE_BITS, _SPARSE_BITS + 1)]
     for m in sparse + [random_mask(rng, width, d) for d in (0.03, 0.5, 1.0)]:
         bits = ref_bits(m)
-        assert list(_bits(m)) == bits
+        assert _members(m) == bits
         assert _from_offsets(bits, width) == m
         assert _reverse(m, width) == sum(1 << (width - 1 - i) for i in bits)
         assert _reverse(m, width + 3) == sum(1 << (width + 2 - i) for i in bits)
@@ -361,6 +361,28 @@ def test_min_period_matches_divisor_scan(case):
     assert _min_period(m, *masks) == oracle.min_period(m, *masks)
 
 
+def ref_prime_factors(n):
+    # every divisor from 2 up, dividing each out in full
+    out, d = [], 2
+    while n > 1:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out
+
+
+def test_prime_factors_match_brute_force():
+    for n in range(1, 5001):
+        assert _prime_factors(n) == ref_prime_factors(n)
+    # primes and prime powers near 2^20, and products of two of them
+    for n, want in ((1048573, [1048573]), (1048583, [1048583]), (1 << 20, [2]),
+                    (1021 ** 2, [1021]), (101 ** 3, [101]), (3 ** 13, [3]),
+                    (2 * 1048573, [2, 1048573]), (1021 * 1031, [1021, 1031])):
+        assert _prime_factors(n) == ref_prime_factors(n) == want
+
+
 def test_bits_sparse_wide_masks(monkeypatch):
     # masks past _SMALL_BITS are walked bit by bit up to _SPARSE_BITS set
     # bits, and unpacked by numpy above that
@@ -376,13 +398,7 @@ def test_bits_sparse_wide_masks(monkeypatch):
         for k in (_SPARSE_BITS, _SPARSE_BITS + 1):
             m = with_popcount(rng, width - 1, k - 1) | (1 << (width - 1))
             unpacked.clear()
-            assert list(_bits(m)) == ref_bits(m)
+            got = _members(m)
+            assert type(got) is list and got == sorted(got) == ref_bits(m)
             assert len(unpacked) == (width > _SMALL_BITS and k > _SPARSE_BITS)
-
-
-def test_bits_is_an_iterator():
-    for m in (0b1011, (1 << 300) | 5):
-        it = _bits(m)
-        assert iter(it) is it
-        assert next(it) == 0
-    assert list(_bits(0)) == []
+    assert _members(0) == []

@@ -280,6 +280,21 @@ def test_multiplicative_order():
         multiplicative_order(3, 6)
 
 
+def test_totient_matches_gcd_count():
+    for n in range(1, 501):
+        assert totient(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_to_expr_matches_join_form():
+    # masks of at most 32 members are walked bit by bit, and those wider
+    # than 256 bits with more members go through numpy
+    rng = random.Random(11)
+    for g in range(1, 601):
+        for k in {min(g, 32), min(g, rng.randint(0, 32)), min(g, rng.randint(33, 600))}:
+            u = ResidueSet(g, rng.sample(range(g), k))
+            assert u.to_expr() == "mod %d {%s}" % (g, ",".join(map(str, sorted(u.elems))))
+
+
 def _pairs_for(g):
     return [(a, b) for a in range(1, 7) for b in range(1, 7)] + \
         [(g, 1), (g + 1, g), (2 * g + 3, 7 * g + 5)]
