@@ -28,12 +28,17 @@ So the piece convolves ``_first_of_class(W', m)``, the least member of
 each class, at most m bits, and its shift-or takes at most m steps
 however wide the window is.
 
-Index arrays.  Window text and finite sets go through one numpy index
-array, not a Python step per element: ``_members`` lists a mask's
-members plus a base, and ``_from_offsets`` builds a mask from members
-minus a base.  They compute in int64 while |base| + width < 2^62, and in
-Python ints (object dtype) otherwise; ``_int_dtype`` makes that choice
-for them and for the bulk arithmetic of ``constructions``.
+Index arrays.  Window text, finite sets and residue dilations go through
+one numpy index array, not a Python step per element: ``_members`` lists
+a mask's members plus a base, ``_from_offsets`` builds a mask from
+members minus a base, and ``_spread`` maps each member i of a mask to
+n*i mod m.  ``_bulk`` tells when a mask is wide and full enough for that
+(``_from_offsets`` puts the same bounds on its number of values); any
+other has at most ``_SMALL_BITS`` members, so ``_spread``, one OR below
+2^m per member, is linear in w + m.  They compute in int64 while the
+values stay below 2^62, and in Python ints (object dtype) otherwise;
+``_int_dtype`` makes that choice for them and for the bulk arithmetic of
+``constructions``.
 
 Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit
 (``_shift_or``), stopping early once every output bit is set.  When that
@@ -61,7 +66,7 @@ import math
 
 import numpy as np
 
-_SMALL_BITS = 256        # _members walks masks up to this width bit by bit,
+_SMALL_BITS = 256        # masks up to this width are walked bit by bit,
 _SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
 _FFT_MIN_BITS = 256      # convolve_or shift-ors sparser operands of this many bits or fewer
 _EXACT = 1 << 62         # int64 index arithmetic stays below this magnitude
@@ -74,14 +79,20 @@ def _int_dtype(reach: int):
     return np.int64 if reach < _EXACT else object
 
 
+def _bulk(mask: int) -> bool:
+    # whether a mask goes through one numpy index array rather than a Python
+    # step per member: it is wide and has many members
+    return mask.bit_length() > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS
+
+
 def _members(mask: int, base: int = 0) -> list:
     """The integers base + i over the set bits i of mask, ascending.
 
     A wide mask with many members goes through one index array, with base
     added in int64 when |base| + width stays below 2^62 and in Python ints
     otherwise; a narrow or sparse one is walked bit by bit."""
-    width = mask.bit_length()
-    if width > _SMALL_BITS and mask.bit_count() > _SPARSE_BITS:
+    if _bulk(mask):
+        width = mask.bit_length()
         offsets = np.flatnonzero(_unpack(mask, width))
         return (offsets.astype(_int_dtype(abs(base) + width), copy=False) + base).tolist()
     out = []
@@ -157,21 +168,21 @@ def _reflect(mask: int, width: int) -> int:
 
 
 def _spread(mask: int, n: int, m: int) -> int:
-    # bit i of the input becomes bit (n * i) mod m: a plain spread when
-    # n >= 1 and m exceeds n times the top bit, else the residue dilation
-    # mod m (any n, zero and negative ones included).  The string join
-    # serves only wide masks with many set bits; the loop is faster on
-    # sparse ones, whatever their width.
-    top = mask.bit_length() - 1
-    if n == 1 and top < m:
+    # bit i of the input becomes bit (n * i) mod m, for any n (zero and
+    # negative ones included): a wide mask with many set bits maps its one
+    # index array, a narrow or sparse one is walked bit by bit from the top
+    # (one operation fewer per bit than isolating the lowest)
+    width = mask.bit_length()
+    if n == 1 and width <= m:
         return mask
-    if top >= _SMALL_BITS and 0 < n and n * top < m and mask.bit_count() > _SPARSE_BITS:
-        return int(("0" * (n - 1)).join(format(mask, "b")), 2)
+    if _bulk(mask):
+        idx = np.flatnonzero(_unpack(mask, width)).astype(_int_dtype(width * m), copy=False)
+        return _from_offsets(idx * (n % m) % m, m)
     out = 0
     while mask:
-        low = mask & -mask
-        out |= 1 << (n * (low.bit_length() - 1) % m)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out |= 1 << (n * top % m)
+        mask ^= 1 << top
     return out
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import oracle
 from linset import _bits as bits_module
 from linset._bits import (_SMALL_BITS, _SPARSE_BITS, _class_sum, _fft_cutoff, _fft_or,
-                          _from_offsets, _members, _min_period, _periodic_fill, _prime_factors,
-                          _reflect, _reverse, _smooth_len, _spread, convolve_or)
+                          _from_offsets, _image, _members, _min_period, _periodic_fill,
+                          _prime_factors, _reflect, _reverse, _smooth_len, _spread, convolve_or)
 
 
 def ref_bits(mask):
@@ -316,10 +316,64 @@ def test_linear_helpers_match_loops(width):
         assert _reflect(m, width) == sum(1 << (-i % width) for i in bits)
         for n in (1, 2, 5):
             assert _spread(m, n, n * width) == sum(1 << (n * i) for i in bits)
-        for n in (0, -1, -3, 1, 2, 5):
-            # width // 3 + 1: the top bit wraps, for n = 1 too
-            for mod in (width // 3 + 1, width, 2 * width + 1, 3 * width + 7):
-                assert _spread(m, n, mod) == _from_offsets({n * i % mod for i in bits}, mod)
+
+
+def from_set(residues, m):
+    # the mask of a Python set of residues below m, through one binary string
+    flags = bytearray(b"0") * m
+    for r in residues:
+        flags[m - 1 - r] = 49
+    return int(flags.decode(), 2)
+
+
+@pytest.mark.parametrize("width", [_SMALL_BITS, _SMALL_BITS + 1, 5000])
+def test_spread_matches_sets_and_replaced_loop(width, monkeypatch):
+    # n = 0, +-1, -3, n >= m and gcd(n, m) > 1, on sparse and dense masks on
+    # both sides of _bulk's switch; _unpack is seen exactly when the mask is
+    # wide with many members, so a swapped or shifted threshold fails
+    unpacked = []
+
+    def counted_unpack(mask, w):
+        unpacked.append(w)
+        return unpack(mask, w)
+    unpack = bits_module._unpack
+    monkeypatch.setattr(bits_module, "_unpack", counted_unpack)
+    rng = random.Random(width)
+    masks = [(k, with_popcount(rng, width - 1, k - 1) | (1 << (width - 1)))
+             for k in (1, _SPARSE_BITS, _SPARSE_BITS + 1)]
+    masks += [(m.bit_count(), m) for m in (random_mask(rng, width, d) for d in (0.3, 1.0))]
+    for k, m in masks:
+        bits = ref_bits(m)
+        # width // 3 + 1: the top bit wraps, for n = 1 too; even moduli
+        # share a factor with the even n
+        for mod in (width // 3 + 1, width, 2 * width, 2 * width + 1, 3 * width + 7):
+            for n in (0, 1, -1, -3, 2, 6, 5, mod, mod + 2, 3 * mod - 1, -mod - 4):
+                unpacked.clear()
+                got = _spread(m, n, mod)
+                assert got == from_set({n * i % mod for i in bits}, mod) == oracle.spread(m, n, mod)
+                bulk = not (n == 1 and width <= mod) and width > _SMALL_BITS and k > _SPARSE_BITS
+                assert unpacked == ([width] if bulk else [])
+    assert _spread(0, 3, 7) == 0
+
+
+def test_image_at_the_default_cap():
+    # one dense residue step at g = 2^20 - 3, a prime: U is a random half of
+    # [0, g/8), so 3U - U is not all of Z/gZ.  A residue r is in 3U - U iff
+    # 3U meets r + U, which is checked on masks built from Python sets
+    g = (1 << 20) - 3
+    rng = random.Random(20)
+    us = [x for x in range(g // 8) if rng.random() < 0.5]
+    u = from_set(us, g)
+    image = _image(u, 3, -1, g)
+    triple = from_set({3 * x % g for x in us}, g)
+    full = (1 << g) - 1
+    rs = rng.sample(range(g), 200) + [0, g - 1, 3 * us[-1] - us[0], 3 * us[-1] - us[0] + 1]
+    hits = []
+    for r in rs:
+        shifted = ((u << r) | (u >> (g - r))) & full
+        hits.append(image >> r & 1)
+        assert hits[-1] == (triple & shifted != 0), r
+    assert 0 < sum(hits) < len(rs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 60, 3000])

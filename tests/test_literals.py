@@ -79,6 +79,26 @@ def test_named_tokens_match_regex_reference(token, pad):
         assert_matches_reference("{" + body)
 
 
+@st.composite
+def bodies(draw):
+    # comma-split tokens over 0-9, +, -, space and x, mostly well formed, so
+    # that both the refusals and the values are compared
+    digits = st.text("0123456789", min_size=1, max_size=19)
+    token = st.one_of(st.tuples(st.sampled_from(["", "+", "-"]), digits).map("".join),
+                      st.text("0123456789+- x", max_size=4))
+    return ",".join(draw(st.lists(token, min_size=1, max_size=40)))
+
+
+@given(st.one_of(bodies(), st.text("0123456789,+- x", min_size=1, max_size=60)))
+@settings(max_examples=500, deadline=None)
+def test_int_array_matches_digit_accumulation(body):
+    got, want = cli._int_array(body), oracle.int_array(body)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 def test_long_literal_takes_the_array_path():
     text = "{%s}" % ",".join(filler(-60, 120))
     sc = cli._Scanner(text)
