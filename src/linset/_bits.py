@@ -4,8 +4,9 @@ One convention holds everywhere: a set of residues mod m, or of window
 offsets, is a plain int with bit r set iff r is a member.  EPSet windows
 and tails, ResidueSet and the numpy residue sweeps all use it.  The
 residue image U -> aU + bU mod g of one set is one kernel on such masks,
-``_image``: the fully periodic step of ``apply_linear_op`` and the
-per-set residue functions call it.
+``_image``: the residue-decided step of ``apply_linear_op`` and the
+per-set residue functions call it.  It maps the full mask straight to the
+subgroup of multiples of gcd(a, b, g), with no spreading.
 
 Each job has one implementation here, which every caller uses:
 ``_members`` is the one walk over a mask's set bits, ``_shift_or`` the one
@@ -278,7 +279,12 @@ def _class_sum(c1: int, c2: int, d: int) -> int:
 
 
 def _image(mask: int, a: int, b: int, g: int) -> int:
-    """{a*x + b*y mod g : x, y in the residue mask}, for any integers a, b."""
+    """{a*x + b*y mod g : x, y in the residue mask}, for any integers a, b.
+
+    The full mask maps to the subgroup generated by a and b, the multiples
+    of gcd(a, b, g), with no spreading."""
+    if mask.bit_count() == g:
+        return _periodic_fill(1, math.gcd(a, b, g), 0, g)
     return _class_sum(_spread(mask, a, g), _spread(mask, b, g), g)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import _image, _periodic_fill
+from ._bits import _fold_mod, _image, _periodic_fill, _rotate, _spread
 from .epset import EPSet, InputError, _dilated, _minkowski, check_window, window_cap
 
 
@@ -312,27 +312,64 @@ def dominant_coefficient_pair(seq: OpSequence, m: int):
 def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     """a*S - b*S, exactly.
 
-    A fully periodic S = U + gZ (U a set of residues mod g) takes one
-    residue image:
+    The step is first decided from residues mod G = g * gcd(a, b), g the
+    period of S.  Read mod G, let U be the residues of the upward tail, D
+    those of the downward tail, and R all residues of S (both tails and
+    the window).  Then:
 
-        aS - bS = (aU - bU) + G*Z,   G = g * gcd(a, b),
+    - cover, the union of aU - bU and aD - bD mod G, is whole classes
+      that aS - bS contains: by Bezout a*i - b*j runs over gcd(a, b)*Z
+      with i, j both large, so a(u + gi) - b(u' + gj) fills the class
+      au - bu' + G*Z for members u, u' of one tail;
+    - aR - bR mod G holds every class that aS - bS meets, as a*g and
+      b*g are multiples of G.
 
-    since a*g*Z - b*g*Z = G*Z.  With U read mod G, aU - bU mod G is
-    ``_image(U, a, -b, G)``; G past ``window_cap()`` raises
-    ``WindowCapExceeded`` before any G-bit mask is built.  Every other S
-    is the Minkowski sum of aS and -bS, which is refused when a dilated
-    operand or the sum needs a window or period past the cap.  The
-    operands are raw pieces (``epset._dilated``), not EPSet values.
+    So when ``_image(R, a, -b, G) == cover``, cover + G*Z lies in aS - bS
+    and holds it: the two are equal, and the step is built with no
+    dilation and no Minkowski piece.  A fully periodic S (R = U = D) is
+    always decided this way.  Any other S is decided when cover is all of
+    Z/GZ, or when it passes that test after the screen
+    ``_spread(R, a - b, G) & ~cover == 0`` (the diagonal a*x - b*x lies in
+    aS - bS), which turns most undecided inputs away at one spread.
+
+    Caps.  A decided step is bounded by its answer's period G: a fully
+    periodic S raises ``WindowCapExceeded`` when G passes ``window_cap()``,
+    before any G-bit mask is built, and any other S then goes to the
+    Minkowski sum of aS and -bS.  That sum is refused when a dilated
+    operand or the sum needs a window or period past the cap, so a step
+    that is decided may return where the sum would have been refused.  The
+    operands of the sum are raw pieces (``epset._dilated``), not EPSet
+    values.
     """
     if s.is_empty():
         return s
+    G = s.period * math.gcd(op.a, op.b)
     if s.is_fully_periodic():
-        G = s.period * math.gcd(op.a, op.b)
         check_window(G)
-        m = _image(_periodic_fill(s.pos_tail, s.period, 0, G), op.a, -op.b, G)
-        return EPSet(G, 0, -1, 0, m, m)
+    if G <= window_cap():
+        m = _residue_decided(s, op.a, -op.b, G)
+        if m is not None:
+            return EPSet(G, 0, -1, 0, m, m)
     k = s._key()
     return _minkowski(_dilated(k, op.a), _dilated(k, -op.b))
+
+
+def _residue_decided(s: EPSet, a: int, b: int, G: int):
+    """The residue mask mod G of aS + bS when the rule of ``apply_linear_op``
+    decides it (a > 0 > b), else None."""
+    g, up, down = s.period, s.pos_tail, s.neg_tail
+    cover = _image(_periodic_fill(up, g, 0, G), a, b, G)
+    if down != up:
+        cover |= _image(_periodic_fill(down, g, 0, G), a, b, G)
+    if not cover:       # no tail, so aS + bS is finite and nonempty
+        return None
+    every = up | down | _rotate(_fold_mod(s.window, g), s.lo, g)
+    if every == up == down or cover.bit_count() == G:
+        return cover
+    every = _periodic_fill(every, g, 0, G)
+    if _spread(every, a + b, G) & ~cover or _image(every, a, b, G) != cover:
+        return None
+    return cover
 
 
 def apply_composition(seq, s: EPSet) -> EPSet:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import epsets
 from linset import epset, linops
-from linset.cli import random_ops
+from linset.cli import parse_set_expression, random_ops
 from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import (
     LinearOp,
@@ -258,16 +258,23 @@ def periodic_sets(draw, max_period=300):
     return _periodic(g, mask)
 
 
-@given(periodic_sets(), st.integers(1, 9), st.integers(1, 9))
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(periodic_sets(), epsets(max_period=8, span=12, tail_bits=3)),
+       st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
 def test_periodic_fast_path_matches_minkowski_and_oracle(s, a, b):
     # a and b share a factor in about a third of draws, so G = g*gcd(a, b)
-    # exceeds the input period on those
+    # exceeds the input period on those.  Eventually periodic inputs have
+    # sparse tails that leave classes uncovered: residues mod G decide some
+    # of their steps, and the Minkowski path takes the rest
     fast = apply_linear_op(LinearOp(a, b), s)
     assert fast == s.dilate(a).minkowski(s.negate().dilate(b))
-    # both sides have period dividing G, so one window of G points decides
-    radius = s.period * math.gcd(a, b)
-    expected = oracle.periodic_gamma_bitmap(s, a, b, radius)
+    if s.is_fully_periodic():
+        # both sides have period dividing G, so one window of G points decides
+        radius = s.period * math.gcd(a, b)
+        expected = oracle.periodic_gamma_bitmap(s, a, b, radius)
+    else:
+        radius = 120
+        expected = oracle.gamma_bitmap(s, a, b, radius)
     assert oracle.agrees(fast, expected, radius)
 
 
@@ -279,6 +286,22 @@ def test_periodic_fast_path_edges():
     # (2Z) under (2, 2): 4Z - 4Z = 4Z, a period G = 2 * gcd(2, 2)
     assert apply_linear_op(LinearOp(2, 2), EPSet.residue_class(0, 2)) == \
         EPSet.residue_class(0, 4)
+    # eventually periodic inputs: two steps decided from residues, two
+    # whose window residues lie outside the cover and keep the answer from
+    # being periodic, and two whose answer has period G = g*gcd(a, b), not g
+    cases = (("AP-(2,5,2)", (3, 1), "AP(4,5)"),
+             ("U(AP-(0,4,0),AP+(1,4,1),AP+(4,4,4))", (3, 1), "U(AP(0,4),AP(2,4),AP(3,4))"),
+             ("U({1},AP+(0,2,0))", (2, 1), None),
+             ("U({1},AP+(0,3,0),AP-(0,3,0))", (2, 1), None),
+             ("N", (2, 2), "AP(0,2)"),
+             ("U(AP+(0,3,0),AP+(1,3,1))", (2, 4), "AP(0,2)"))
+    for expr, (a, b), want in cases:
+        s = parse_set_expression(expr)
+        got = apply_linear_op(LinearOp(a, b), s)
+        assert got == s.dilate(a).minkowski(s.negate().dilate(b)), expr
+        assert got.is_fully_periodic() == (want is not None), expr
+        if want is not None:
+            assert got.to_expr() == want, expr
 
 
 def test_periodic_input_never_reaches_minkowski(monkeypatch):
@@ -301,14 +324,19 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
               EPSet.integers(), _periodic(300, (1 << 299) | 5)):
         for a, b in ((3, 1), (2, 5), (6, 4)):
             apply_linear_op(LinearOp(a, b), s)
-    assert calls == []
-    # a window, a one-sided tail and opposite tails with different rules
-    # keep the Minkowski path
-    others = (EPSet.from_iterable([0, 3]), EPSet.naturals(), EPSet.half_line(1, 3, 1),
-              EPSet.half_line_down(2, 5, 0), EPSet(4, 0, -1, 0, 0b0001, 0b0011))
-    for k, s in enumerate(others, 1):
+    # a one-sided tail and opposite tails with different rules: the answer
+    # is periodic, and residues mod G decide it
+    for s in (EPSet.naturals(), EPSet.half_line(1, 3, 1), EPSet.half_line_down(2, 5, 0),
+              EPSet(4, 0, -1, 0, 0b0001, 0b0011)):
         assert not s.is_fully_periodic()
-        apply_linear_op(LinearOp(3, 1), s)
+        for a, b in ((3, 1), (2, 5), (6, 4)):
+            assert apply_linear_op(LinearOp(a, b), s).is_fully_periodic()
+    assert calls == []
+    # a finite set, and a set whose answer keeps a window, keep the
+    # Minkowski path
+    others = (EPSet.from_iterable([0, 3]), parse_set_expression("U({-1},AP+(0,3,0))"))
+    for k, s in enumerate(others, 1):
+        assert not apply_linear_op(LinearOp(3, 1), s).is_fully_periodic()
         assert len(calls) == k
 
 
@@ -318,7 +346,9 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_raw_operands_match_canonical_ones(s, ab, spare):
     # aS - bS from raw operands is the value, or the refusal, of the sum of
-    # the canonical values aS and -bS, under any cap that S fits
+    # the canonical values aS and -bS, under any cap that S fits.  A step
+    # that residues mod G decide is the exception: its value fits the cap
+    # where the canonical sum may be refused for a dilated operand
     assume(not s.is_fully_periodic())
     cap = max(s.period, s.hi - s.lo + 1) + spare
     op = LinearOp(*ab)
@@ -332,7 +362,12 @@ def test_raw_operands_match_canonical_ones(s, ab, spare):
             outcomes.append(("refused", e.requested))
         finally:
             set_window_cap(old)
-    assert outcomes[0] == outcomes[1]
+    got, want = outcomes
+    if isinstance(got, EPSet) and isinstance(want, tuple):
+        assert got == oracle.linear_op_step(op, s)
+        assert got.is_fully_periodic() and got.period <= cap
+    else:
+        assert got == want
 
 
 def test_periodic_fast_path_cap():
@@ -348,6 +383,9 @@ def test_periodic_fast_path_cap():
         with pytest.raises(WindowCapExceeded) as err:
             apply_linear_op(LinearOp(3, 3), x)
         assert (err.value.requested, err.value.cap) == (1200, 1000)
+        # an upward tail alone: 3(1 + 400N) - (1 + 400N) fills 2 + 400Z
+        half = apply_linear_op(LinearOp(3, 1), EPSet.half_line(1, 400, 1))
+        assert half.to_expr() == "AP(2,400)"
     finally:
         set_window_cap(old)
     assert got == x.dilate(3).minkowski(x.negate())

@@ -55,6 +55,10 @@ def test_gamma_mod_nonpositive_coefficients():
     assert gamma_mod(u, 1, -1) == ResidueSet(300, [0, 1, 20, 21, 279, 280, 299])
     big = ResidueSet(1000, range(0, 1000, 7))
     assert gamma_mod(big, 2, -1) == brute_gamma(big, 2, -1)
+    # the full residue set maps to the multiples of gcd(a, b, g)
+    for full in (ResidueSet(12, range(12)), ResidueSet(300, range(300))):
+        for a, b in ((2, 4), (3, -6), (0, 0), (5, -1)):
+            assert gamma_mod(full, a, b) == brute_gamma(full, a, b), (full.modulus, a, b)
 
 
 def test_period_examples():
