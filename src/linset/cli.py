@@ -283,17 +283,20 @@ def parse_residue_set(text: str) -> ResidueSet:
     return ResidueSet(g, elems)
 
 
-# One (a,b)^k atom of the op grammar, every part after its "(" optional:
-# the groups that matched tell how far a malformed atom got, and so give
-# the error message and position the token-by-token reading would.
-_OP = re.compile(r"\s*\((?:\s*(%s)(?:\s*(,)(?:\s*(%s)(?:\s*(\))(?:\s*(\^)(?:\s*(%s))?)?)?)?)?)?"
+# One well-formed (a,b)^k atom of the op grammar: a "^" must be followed by
+# an integer.  Where the matches stop at a "(", the atom there is malformed.
+_OP = re.compile(r"\s*\(\s*(%s)\s*,\s*(%s)\s*\)(?:\s*\^\s*(%s)|(?!\s*\^))"
                  % (_INT, _INT, _INT))
-_WS = re.compile(r"\s*")
 
 
 def parse_ops(text: str) -> OpSequence:
     """Parse op sequences: ``(a,b)`` atoms, ``^k`` repetition, and the
-    cyclic extension marker ``cyc[...]``.  Each atom is one ``_OP`` match."""
+    cyclic extension marker ``cyc[...]``.
+
+    Each well-formed atom is one ``_OP`` match.  A malformed atom, where
+    the matches stop at a ``(``, is read again token by token by
+    ``_Scanner``, which raises its error with that reading's message and
+    position."""
     sc = _Scanner(text)
     cyclic = False
     if sc.peek() == "c":
@@ -306,15 +309,13 @@ def parse_ops(text: str) -> OpSequence:
     cap = window_cap()
     i = sc.i
     while m := _OP.match(text, i):
-        a, _, b, close, caret, _ = m.groups()
-        if close is None:
-            raise _atom_error(m)
+        a, b, k = m.groups()
         op = made.get((a, b))
         if op is None:
-            op = made[a, b] = _atom_op(m)
+            op = made[a, b] = _atom_op(_to_int(m, 1), _to_int(m, 2))
         reps = 1
-        if caret:
-            reps = _atom_int(m, 6)
+        if k is not None:
+            reps = _to_int(m, 3)
             if reps < 1:
                 raise SetSemanticError("repetition count must be positive")
         if len(ops) + reps > cap:
@@ -323,6 +324,16 @@ def parse_ops(text: str) -> OpSequence:
         ops += [op] * reps
         i = m.end()
     sc.i = i
+    if sc.peek() == "(":
+        # a malformed atom: its token reading raises
+        sc.take("(")
+        a = sc.integer()
+        sc.take(",")
+        b = sc.integer()
+        sc.take(")")
+        _atom_op(a, b)
+        sc.take("^")
+        sc.integer()
     if cyclic:
         sc.take("]")
     if not sc.at_end():
@@ -332,32 +343,10 @@ def parse_ops(text: str) -> OpSequence:
     return OpSequence(tuple(ops), cyclic=cyclic)
 
 
-def _expected(m, what) -> SetSyntaxError:
-    """The error of an atom match m whose next part is missing: that part
-    is expected past the whitespace after the parts that matched."""
-    return SetSyntaxError("expected %s" % what, _WS.match(m.string, m.end()).end())
-
-
-def _atom_int(m, group: int) -> int:
-    if m.group(group) is None:
-        raise _expected(m, "an integer")
-    return _to_int(m, group)
-
-
-def _atom_op(m) -> LinearOp:
-    a, b = _to_int(m, 1), _to_int(m, 3)
+def _atom_op(a: int, b: int) -> LinearOp:
     if a < 1 or b < 1:
         raise SetSemanticError("operation entries must be positive")
     return LinearOp(a, b)
-
-
-def _atom_error(m) -> SetSyntaxError:
-    """The first error of an atom match m that stops before its ")"."""
-    _atom_int(m, 1)
-    if m.group(2) is None:
-        return _expected(m, "','")
-    _atom_int(m, 3)
-    return _expected(m, "')'")
 
 
 def random_ops(length: int, bound: int, seed: int, cyclic: bool = True) -> OpSequence:
@@ -607,15 +596,13 @@ def cmd_construct(args):
                   "ops": str(fx.seq),
                   "predictions": [{"k": k, "set": t} for k, t in enumerate(texts)]}
         rows, header = list(enumerate(texts)), ("k", "set")
-    elif kind == "scaled":
+    else:           # "scaled": argparse's choices admit no other kind
         rep = constructions.scaled_divergence(args.d, args.a, args.b, steps=args.steps)
         rows = [(k, x.to_expr(), rep.divisible[k], rep.min_nonzero_abs[k])
                 for k, x in enumerate(rep.iterates)]
         header = ("k", "set", "divisible", "min_nonzero_abs")
         report = {"d": args.d, "all_distinct": rep.all_distinct,
                   "iterates": [dict(zip(header, row)) for row in rows]}
-    else:
-        raise UsageError("unknown construction kind '%s'" % kind)
     return {"kind": kind, **report}, rows, header, 0
 
 

@@ -37,7 +37,8 @@ class OpSequence:
     """A finite list of linear operations, with the coefficient bound L.
 
     ``cyclic=True`` marks that the list extends periodically, which is how
-    infinite operation sequences are supplied to the iteration engine.
+    infinite operation sequences are supplied to the iteration engine; a
+    cyclic list needs at least one op.
     """
 
     ops: tuple
@@ -47,6 +48,8 @@ class OpSequence:
     def __post_init__(self):
         ops = tuple(op if isinstance(op, LinearOp) else LinearOp(*op) for op in self.ops)
         object.__setattr__(self, "ops", ops)
+        if self.cyclic and not ops:
+            raise InputError("a cyclic sequence needs at least one operation")
         top = max((max(op.a, op.b) for op in ops), default=1)
         if self.bound == 0:
             object.__setattr__(self, "bound", top)
@@ -66,7 +69,7 @@ class OpSequence:
         """Operation applied at step k+1 (0-based index into the sequence)."""
         if k < len(self.ops):
             return self.ops[k]
-        if self.cyclic and self.ops:
+        if self.cyclic:
             return self.ops[k % len(self.ops)]
         raise IndexError("operation index %d beyond a non-cyclic sequence" % k)
 

@@ -297,6 +297,13 @@ def op_texts(draw):
 @example("(2,1)^(3,1)")
 @example(" cyc [ (2 ,1 ) ^ 3 ( 3, 2) ] ")
 @example("cycx[(2,1)]")
+@example("(2,1)^0")
+@example("(2,1)^-2")
+@example("(0,1)^x")
+@example("(2,1)^x")
+@example("(2,1)^")
+@example("(2,1)^3^4")
+@example("(2,1)^ (3,1)")
 @settings(max_examples=600, deadline=None)
 def test_parse_ops_matches_token_parse(text):
     # the same sequence, or the same error with the same message and position
@@ -520,6 +527,42 @@ def test_cli_failure_modes(argv, exc, code, line, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(line)
+
+
+# (id, argv, the one stderr line): input errors of the set, residue-set and
+# op grammars, the fraction options and the verifier's arguments, each exit 3
+INPUT_ERRORS = [
+    ("no-name", ["residue", "--set", "5 {1}", "--a", "2", "--b", "1"],
+     "error: expected a name (at position 0)"),
+    ("not-mod", ["residue", "--set", "modx 5 {1}", "--a", "2", "--b", "1"],
+     "error: expected 'mod' (at position 0)"),
+    ("bad-char", ["iterate", "--set", "#", "--ops", "(2,1)"],
+     "error: unexpected character '#' (at position 0)"),
+    ("no-set", ["iterate", "--set", "U(", "--ops", "(2,1)"],
+     "error: expected a set expression (at position 2)"),
+    ("bohr-zero-den", ["iterate", "--set", "bohr(1/0,1/6,5)", "--ops", "(2,1)"],
+     "error: zero denominator"),
+    ("zero-reps", ["iterate", "--set", "N", "--ops", "(2,1)^0"],
+     "error: repetition count must be positive"),
+    ("alpha-literal", ["construct", "--kind", "bohr", "--alpha", "abc"],
+     "error: Invalid literal for Fraction: 'abc'"),
+    ("L-below-2", ["verify-thm61", "--set", "N", "--ops", "cyc[(2,1)]", "--L", "1"],
+     "error: the coefficient bound L must be at least 2"),
+    ("c-zero", ["verify-thm61", "--set", "N", "--ops", "cyc[(2,1)]", "--L", "3", "--c", "0"],
+     "error: the constant c must be a positive integer"),
+    ("above-L", ["verify-thm61", "--set", "N", "--ops", "cyc[(3,1)]", "--L", "2"],
+     "error: sequence coefficients exceed the declared bound"),
+    ("unknown-kind", ["construct", "--kind", "nope"],
+     "usage error: argument --kind: invalid choice: 'nope' "
+     "(choose from 'ap', 'bohr', 'sparse', 'parity', 'scaled')"),
+]
+
+
+@pytest.mark.parametrize("argv,line", [e[1:] for e in INPUT_ERRORS],
+                         ids=[e[0] for e in INPUT_ERRORS])
+def test_cli_input_errors_exit_3(argv, line, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -225,6 +225,11 @@ def test_constant_from_matches_op_at():
     for n in range(5):
         for ops in product(((1, 1), (2, 1), (3, 2)), repeat=n):
             for cyclic in (False, True):
+                if cyclic and not ops:
+                    # no op to repeat: refused when built
+                    with pytest.raises(epset.InputError):
+                        OpSequence(ops, cyclic=cyclic)
+                    continue
                 seq = OpSequence(ops, cyclic=cyclic)
                 for k in range(2 * n + 3):
                     avail = [seq.op_at(j) for j in range(k, k + n if cyclic else n)]

@@ -60,6 +60,16 @@ def test_periodicity_onset():
     assert tr.periodicity_onset is None  # a one-sided set alone
 
 
+def test_empty_cyclic_sequence_refused():
+    # a cyclic sequence with no ops has no op to repeat: refused as input,
+    # before the engine asks it for op 0
+    with pytest.raises(InputError, match="cyclic sequence needs at least one operation"):
+        OpSequence((), cyclic=True)
+    with pytest.raises(InputError, match="cyclic sequence needs at least one operation"):
+        OpSequence.repeat(2, 1, 0, cyclic=True)
+    assert len(OpSequence(())) == 0      # a finite empty sequence stays valid
+
+
 def test_onset_with_bound():
     a = EPSet.half_line(1, 3, 1)
     tr = iterate_trace(a, OpSequence.repeat(3, 1, 10))
