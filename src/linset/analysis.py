@@ -23,12 +23,15 @@ class DensityReport:
 
 
 def density_profile(elems, ns) -> DensityReport:
+    ns = sorted(ns)
+    if ns and ns[0] < 1:
+        raise InputError("sample point %d is below 1" % ns[0])
     elems = sorted(x for x in elems if x >= 1)
     profile = []
     sup_profile = []
     best = Fraction(0)
     idx = 0
-    for n in sorted(ns):
+    for n in ns:
         while idx < len(elems) and elems[idx] <= n:
             idx += 1
         val = Fraction(idx, n)

@@ -191,6 +191,28 @@ def _int_array(body: str):
     return np.fromstring(body, np.int64, sep=",")
 
 
+def _call(sc: _Scanner, readers, more=None) -> list:
+    """The values of a parenthesized argument list ``(v1,v2,...)``.
+
+    Takes ``(``, reads one value with each of ``readers`` in turn, a ``,``
+    between two of them, then one more value with ``more`` for each ``,``
+    that follows, and takes ``)``.  A reader is called with the scanner:
+    an unbound ``_Scanner`` method or ``_parse_set``.  Every error is that
+    of the token reading, at the position where it stopped."""
+    sc.take("(")
+    out = []
+    for read in readers:
+        if out:
+            sc.take(",")
+        out.append(read(sc))
+    if more is not None:
+        while sc.peek() == ",":
+            sc.take(",")
+            out.append(more(sc))
+    sc.take(")")
+    return out
+
+
 def _parse_set(sc: _Scanner):
     ch = sc.peek()
     if ch == "{":
@@ -205,53 +227,26 @@ def _parse_set(sc: _Scanner):
     if name == "N":
         return EPSet.naturals()
     if name == "U":
-        sc.take("(")
-        parts = [_parse_set(sc)]
-        while sc.peek() == ",":
-            sc.take(",")
-            parts.append(_parse_set(sc))
-        sc.take(")")
+        parts = _call(sc, (_parse_set,), _parse_set)
         return EPSet.union(*(p.to_epset() if isinstance(p, TruncatedSet) else p
                              for p in parts))
     if name in ("AP", "AP+", "AP-"):
-        sc.take("(")
-        r = sc.integer()
-        sc.take(",")
-        g = sc.integer()
-        n0 = None
-        if name != "AP":
-            sc.take(",")
-            n0 = sc.integer()
-        sc.take(")")
+        r, g, *n0 = _call(sc, (_Scanner.integer,) * (2 if name == "AP" else 3))
         if g <= 0:
             raise SetSemanticError("modulus must be positive")
         if name == "AP":
             return EPSet.residue_class(r, g)
         if name == "AP+":
-            return EPSet.half_line(r, g, max(r, n0))
-        return EPSet.half_line_down(r, g, min(r, n0))
+            return EPSet.half_line(r, g, max(r, *n0))
+        return EPSet.half_line_down(r, g, min(r, *n0))
     if name == "bohr":
-        sc.take("(")
-        alpha = sc.fraction()
-        sc.take(",")
-        delta = sc.fraction()
-        sc.take(",")
-        n = sc.integer()
-        sc.take(")")
+        alpha, delta, n = _call(sc, (_Scanner.fraction, _Scanner.fraction, _Scanner.integer))
         try:
             return constructions.bohr_truncation(alpha, delta, n)
         except InputError as e:
             raise SetSemanticError(str(e))
     if name == "sparse":
-        sc.take("(")
-        delta = sc.fraction()
-        sc.take(",")
-        n = sc.integer()
-        xs = []
-        while sc.peek() == ",":
-            sc.take(",")
-            xs.append(sc.fraction())
-        sc.take(")")
+        delta, n, *xs = _call(sc, (_Scanner.fraction, _Scanner.integer), _Scanner.fraction)
         try:
             return constructions.sparse_interval_union(xs, delta, n)
         except InputError as e:
@@ -326,12 +321,7 @@ def parse_ops(text: str) -> OpSequence:
     sc.i = i
     if sc.peek() == "(":
         # a malformed atom: its token reading raises
-        sc.take("(")
-        a = sc.integer()
-        sc.take(",")
-        b = sc.integer()
-        sc.take(")")
-        _atom_op(a, b)
+        _atom_op(*_call(sc, (_Scanner.integer,) * 2))
         sc.take("^")
         sc.integer()
     if cyclic:
@@ -367,11 +357,7 @@ def _parse_rand(text: str, seed: int) -> OpSequence:
     sc = _Scanner(text)
     if sc.name() != "rand":
         raise SetSyntaxError("expected 'rand'", 0)
-    sc.take("(")
-    n = sc.integer()
-    sc.take(",")
-    bound = sc.integer()
-    sc.take(")")
+    n, bound = _call(sc, (_Scanner.integer,) * 2)
     if not sc.at_end():
         raise SetSyntaxError("trailing input", sc.i)
     if n < 1 or bound < 1:
@@ -620,9 +606,13 @@ def _sweep_cell(cell):
 def cmd_sweep(args):
     sets = [x.strip() for x in args.sets.split(";") if x.strip()]
     ops_entries = [x.strip() for x in args.ops_list.split(";") if x.strip()]
+    cap = window_cap()
+    if len(sets) * len(ops_entries) > cap:
+        raise ResourceLimitExceeded("sweep grid of %d cells exceeds the cap %d"
+                                    % (len(sets) * len(ops_entries), cap))
     expanded_ops = [str(_parse_rand(e, args.seed)) if e.startswith("rand") else e
                     for e in ops_entries]
-    cells = [(se, oe, args.L, args.c, args.max_steps, window_cap())
+    cells = [(se, oe, args.L, args.c, args.max_steps, cap)
              for se in sets for oe in expanded_ops]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor   # loaded only where it runs

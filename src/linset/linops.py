@@ -50,6 +50,11 @@ class OpSequence:
         object.__setattr__(self, "ops", ops)
         if self.cyclic and not ops:
             raise InputError("a cyclic sequence needs at least one operation")
+        # the least index from which every op equals the last one
+        start = max(len(ops) - 1, 0)
+        while start and ops[start - 1] == ops[start]:
+            start -= 1
+        object.__setattr__(self, "_constant_start", start)
         top = max((max(op.a, op.b) for op in ops), default=1)
         if self.bound == 0:
             object.__setattr__(self, "bound", top)
@@ -78,7 +83,7 @@ class OpSequence:
 
     def constant_from(self, k: int) -> bool:
         """True when every available op at index >= k equals op_at(k)."""
-        return len(set(self.ops if self.cyclic else self.ops[k:])) <= 1
+        return (0 if self.cyclic else k) >= self._constant_start
 
     @classmethod
     def repeat(cls, a: int, b: int, times: int, cyclic: bool = False,

@@ -36,6 +36,8 @@ def totient(n: int) -> int:
 
 
 def multiplicative_order(x: int, n: int) -> int:
+    if n < 1:
+        raise InputError("modulus must be positive")
     if n == 1:
         return 1
     if math.gcd(x, n) != 1:

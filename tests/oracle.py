@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from linset import constructions
 from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, convolve_or
 from linset.analysis import dplus
-from linset.cli import SetSemanticError, SetSyntaxError, _Scanner
+from linset.cli import SetSemanticError, SetSyntaxError, _int_literal, _Scanner
 from linset.constructions import TruncatedSet
 from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
                           _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window,
@@ -608,3 +609,85 @@ def parse_ops(text):
     if not ops:
         raise SetSyntaxError("empty operation sequence", sc.i)
     return OpSequence(tuple(ops), cyclic=cyclic)
+
+
+# -- the set grammar with one argument reading per constructor -----------------
+# ``cli._parse_set`` and ``cli.parse_set_expression`` as they stood before
+# ``cli._call``: each constructor takes its own "(", arguments, "," and ")".
+
+def _parse_set(sc: _Scanner):
+    ch = sc.peek()
+    if ch == "{":
+        return EPSet.from_iterable(_int_literal(sc))
+    if not ch:
+        raise SetSyntaxError("expected a set expression", sc.i)
+    if not ch.isalpha():
+        raise SetSyntaxError("unexpected character '%s'" % ch, sc.i)
+    name = sc.name()
+    if name == "Z":
+        return EPSet.integers()
+    if name == "N":
+        return EPSet.naturals()
+    if name == "U":
+        sc.take("(")
+        parts = [_parse_set(sc)]
+        while sc.peek() == ",":
+            sc.take(",")
+            parts.append(_parse_set(sc))
+        sc.take(")")
+        return EPSet.union(*(p.to_epset() if isinstance(p, TruncatedSet) else p
+                             for p in parts))
+    if name in ("AP", "AP+", "AP-"):
+        sc.take("(")
+        r = sc.integer()
+        sc.take(",")
+        g = sc.integer()
+        n0 = None
+        if name != "AP":
+            sc.take(",")
+            n0 = sc.integer()
+        sc.take(")")
+        if g <= 0:
+            raise SetSemanticError("modulus must be positive")
+        if name == "AP":
+            return EPSet.residue_class(r, g)
+        if name == "AP+":
+            return EPSet.half_line(r, g, max(r, n0))
+        return EPSet.half_line_down(r, g, min(r, n0))
+    if name == "bohr":
+        sc.take("(")
+        alpha = sc.fraction()
+        sc.take(",")
+        delta = sc.fraction()
+        sc.take(",")
+        n = sc.integer()
+        sc.take(")")
+        try:
+            return constructions.bohr_truncation(alpha, delta, n)
+        except InputError as e:
+            raise SetSemanticError(str(e))
+    if name == "sparse":
+        sc.take("(")
+        delta = sc.fraction()
+        sc.take(",")
+        n = sc.integer()
+        xs = []
+        while sc.peek() == ",":
+            sc.take(",")
+            xs.append(sc.fraction())
+        sc.take(")")
+        try:
+            return constructions.sparse_interval_union(xs, delta, n)
+        except InputError as e:
+            raise SetSemanticError(str(e))
+    raise SetSyntaxError("unknown set constructor '%s'" % name, sc.i)
+
+
+def parse_set_expression(text: str):
+    """Parse the set grammar: Z, N, {..}, AP, AP+, AP-, U(..), bohr(..),
+    sparse(..).  Returns an EPSet or a TruncatedSet."""
+    sc = _Scanner(text)
+    out = _parse_set(sc)
+    if not sc.at_end():
+        raise SetSyntaxError("trailing input", sc.i)
+    return out

@@ -16,7 +16,7 @@ from linset.analysis import (
     stability_time,
     stability_time_bounds,
 )
-from linset.epset import EPSet
+from linset.epset import EPSet, InputError
 
 
 def test_freiman_examples():
@@ -230,6 +230,13 @@ def test_density_profile():
     assert rep.profile[0] == (2, Fraction(2, 2))
     assert rep.sup_profile[-1][1] == Fraction(1)
     assert all(0 <= v <= 1 for _, v in rep.profile)
+
+
+@pytest.mark.parametrize("ns", [[0, 5], [-3], [4, 2, -1]])
+def test_density_profile_refuses_a_sample_point_below_1(ns):
+    # a sample point 0 divided by zero
+    with pytest.raises(InputError, match="sample point -?\\d+ is below 1"):
+        density_profile([1, 2, 3], ns)
 
 
 def test_iterated_sumset():

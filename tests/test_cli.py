@@ -310,6 +310,75 @@ def test_parse_ops_matches_token_parse(text):
     assert op_outcome(parse_ops, text) == op_outcome(oracle.parse_ops, text)
 
 
+# pieces of set text: every token of the set grammar, whitespace, signs,
+# a non-ASCII decimal digit and stray characters
+SET_TOKENS = ["(", ")", ",", "/", "{", "}", "U", "AP", "AP+", "AP-", "bohr", "sparse", "N",
+              "Z", "x", " ", "\t", "0", "1", "3", "-2", "+5", "1/6", "\u0663", "AP(1,3)",
+              "AP+(1,3,2)", "{0,2}"]
+
+
+def set_outcome(parse, text):
+    try:
+        return "value", parse(text).to_expr()
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def set_calls(draw, depth=2):
+    """A well-formed call of the set grammar with whitespace between its
+    tokens."""
+    ws = st.sampled_from(["", "", " ", "\t "])
+    kinds = ["AP", "AP+", "AP-", "bohr", "sparse", "N", "{}"] + ["U"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "N":
+        return kind
+    if kind == "{}":
+        return "{%s}" % ",".join(map(str, draw(st.lists(st.integers(-9, 9), max_size=4))))
+    small = st.integers(-4, 12).map(str)
+    fraction = st.builds("{}/{}".format, st.integers(0, 5), st.integers(1, 7))
+    args = {"AP": [small, small], "AP+": [small, small, small], "AP-": [small, small, small],
+            "bohr": [fraction, fraction, st.integers(0, 40).map(str)],
+            "sparse": [fraction, st.integers(0, 40).map(str)]
+            + [fraction] * draw(st.integers(0, 3)),
+            "U": [set_calls(depth - 1)] * draw(st.integers(1, 3))}[kind]
+    sep = "%s,%s" % (draw(ws), draw(ws))
+    return "%s%s(%s%s%s)" % (kind, draw(ws), draw(ws), sep.join(draw(a) for a in args),
+                             draw(ws))
+
+
+@st.composite
+def set_texts(draw):
+    """A well-formed set call, then at most two characters inserted,
+    dropped or replaced."""
+    text = draw(set_calls())
+    for _ in range(draw(st.integers(0, 2))):
+        if text:
+            i = draw(st.integers(0, len(text) - 1))
+            ch = draw(st.sampled_from("(),/{}+-U0123x \u0663"))
+            edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+            text = {"insert": text[:i] + ch + text[i:], "drop": text[:i] + text[i + 1:],
+                    "replace": text[:i] + ch + text[i + 1:]}[edit]
+    return text
+
+
+@given(st.one_of(set_texts(), st.lists(st.sampled_from(SET_TOKENS), max_size=12).map("".join)))
+@example("AP(1 3)")
+@example("AP+(1,3)")
+@example("AP(1,3,5)")
+@example("sparse(1/6,10,)")
+@example("U()")
+@example("U(N,)")
+@example("bohr(1/3,1/6)")
+@example("U(N x)")
+@example("sparse(1/6,10")
+@settings(max_examples=600, deadline=None)
+def test_parse_set_matches_per_constructor_parse(text):
+    # the same set, or the same error with the same message and position
+    assert set_outcome(parse_set_expression, text) == \
+        set_outcome(oracle.parse_set_expression, text)
+
+
 def test_parse_ops_repetition_cap():
     # 2^21 repetitions exceed the default cap of 2^20 before any list is built
     with pytest.raises(ResourceLimitExceeded, match="2097152 ops exceeds the cap 1048576"):
@@ -344,6 +413,25 @@ def test_cli_sweep_rand_length_cap(capsys):
     assert run(["sweep", "--sets", "N", "--ops-list", "rand(2000000,3)", "--L", "3"]) == 2
     err = capsys.readouterr().err
     assert err == "resource limit: operation sequence of 2000000 ops exceeds the cap 1048576\n"
+
+
+def test_cli_sweep_grid_cap(capsys):
+    # the grid is counted before any rand(n,L) entry is expanded: rand(5,3)
+    # alone is refused with its own message, as its 5 ops pass the cap of 4
+    from linset.epset import set_window_cap, window_cap
+    ops = ["(2,1)", "(3,1)", "(3,2)", "(2,1)(3,1)", "rand(5,3)"]
+    old = window_cap()
+    try:
+        set_window_cap(4)
+        assert run(["sweep", "--sets", "N", "--ops-list", ";".join(ops), "--L", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "resource limit: sweep grid of 5 cells exceeds the cap 4\n")
+        assert run(["sweep", "--sets", "Z;AP(0,2)", "--ops-list", ";".join(ops[:2]),
+                    "--L", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["summary"]["PASS"] == 4
+    finally:
+        set_window_cap(old)
 
 
 def test_cli_text_and_csv_formats(capsys):

@@ -284,6 +284,13 @@ def test_multiplicative_order():
         multiplicative_order(3, 6)
 
 
+@pytest.mark.parametrize("x, n", [(2, -5), (1, 0), (3, -1)])
+def test_multiplicative_order_refuses_a_modulus_below_1(x, n):
+    # (2, -5) looped forever, and (1, 0) divided by zero
+    with pytest.raises(InputError, match="modulus must be positive"):
+        multiplicative_order(x, n)
+
+
 def test_totient_matches_gcd_count():
     for n in range(1, 501):
         assert totient(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))

@@ -10,7 +10,7 @@ import pytest
 from conftest import allocates_below
 from linset.constructions import parity_flip_sequence
 from linset.epset import EPSet, InputError, set_window_cap, window_cap
-from linset.linops import OpSequence
+from linset.linops import LinearOp, OpSequence
 from linset.stability import (
     _floor_log2,
     full_periodicity_onset,
@@ -25,6 +25,25 @@ def test_trace_progression_orbit():
     assert tr.distinct_count == 3
     assert tr.cycle == (1, 2)
     assert tr.closed
+
+
+def test_closure_checks_are_linear_in_the_sequence():
+    # AP(1,3) repeats x0 at every step from x2 on, and each repeat asks
+    # whether the ops are constant from index 0: a check that hashed the
+    # rest of the sequence would make about n^2 op hashes here
+    hashes = 0
+
+    class CountingOp(LinearOp):
+        def __hash__(self):
+            nonlocal hashes
+            hashes += 1
+            return super().__hash__()
+
+    n = 2000
+    seq = OpSequence((CountingOp(3, 1),) * 2 + (CountingOp(2, 1),) * n)
+    tr = iterate_trace(EPSet.residue_class(1, 3), seq, max_k=n)
+    assert len(tr.iterates) == n + 1 and tr.distinct_count == 2 and not tr.closed
+    assert hashes <= n
 
 
 def test_trace_fixed_point():
