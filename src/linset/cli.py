@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -614,9 +615,11 @@ def cmd_sweep(args):
                     for e in ops_entries]
     cells = [(se, oe, args.L, args.c, args.max_steps, cap)
              for se in sets for oe in expanded_ops]
-    if args.jobs > 1:
+    # a pool that forks starts all its workers at once: no more than cells or cores
+    jobs = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor   # loaded only where it runs
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]

@@ -320,10 +320,9 @@ def dominant_coefficient_pair(seq: OpSequence, m: int):
 def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     """a*S - b*S, exactly.
 
-    The step is first decided from residues mod G = g * gcd(a, b), g the
-    period of S.  Read mod G, let U be the residues of the upward tail, D
-    those of the downward tail, and R all residues of S (both tails and
-    the window).  Then:
+    Let g be the period of S and G = g * gcd(a, b).  Read mod G, let U be
+    the residues of the upward tail, D those of the downward tail, and R
+    all residues of S (both tails and the window).  Then:
 
     - cover, the union of aU - bU and aD - bD mod G, is whole classes
       that aS - bS contains: by Bezout a*i - b*j runs over gcd(a, b)*Z
@@ -332,13 +331,15 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     - aR - bR mod G holds every class that aS - bS meets, as a*g and
       b*g are multiples of G.
 
-    So when ``_image(R, a, -b, G) == cover``, cover + G*Z lies in aS - bS
-    and holds it: the two are equal, and the step is built with no
-    dilation and no Minkowski piece.  A fully periodic S (R = U = D) is
-    always decided this way.  Any other S is decided when cover is all of
-    Z/GZ, or when it passes that test after the screen
+    A fully periodic S (R = U = D) maps to cover + G*Z, one ``_image``
+    mod G of U's residues below g (a*g and b*g are multiples of G, so no
+    fill to G is needed); when G == g and the image is U, the step is a
+    fixed point and returns S itself.  Any other S is decided when
+    ``_image(R, a, -b, G) == cover``: cover + G*Z then lies in aS - bS and
+    holds it, and no dilation or Minkowski piece is built.  That image is
+    skipped when cover is all of Z/GZ or R = U = D, and the screen
     ``_spread(R, a - b, G) & ~cover == 0`` (the diagonal a*x - b*x lies in
-    aS - bS), which turns most undecided inputs away at one spread.
+    aS - bS) turns most undecided inputs away at one spread.
 
     Caps.  A decided step is bounded by its answer's period G: a fully
     periodic S raises ``WindowCapExceeded`` when G passes ``window_cap()``,
@@ -351,9 +352,12 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
     """
     if s.is_empty():
         return s
-    G = s.period * math.gcd(op.a, op.b)
+    g = s.period
+    G = g * math.gcd(op.a, op.b)
     if s.is_fully_periodic():
         check_window(G)
+        m = _image(s.pos_tail, op.a, -op.b, G)
+        return s if G == g and m == s.pos_tail else EPSet(G, 0, -1, 0, m, m)
     if G <= window_cap():
         m = _residue_decided(s, op.a, -op.b, G)
         if m is not None:
@@ -363,8 +367,8 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
 
 
 def _residue_decided(s: EPSet, a: int, b: int, G: int):
-    """The residue mask mod G of aS + bS when the rule of ``apply_linear_op``
-    decides it (a > 0 > b), else None."""
+    """The residue mask mod G of aS + bS, S not fully periodic, when the
+    rule of ``apply_linear_op`` decides it (a > 0 > b), else None."""
     g, up, down = s.period, s.pos_tail, s.neg_tail
     cover = _image(_periodic_fill(up, g, 0, G), a, b, G)
     if down != up:

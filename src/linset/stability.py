@@ -9,7 +9,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import _hash_key, _image
 from ._orbit import orbit
 from .epset import EPSet, InputError, WindowCapExceeded, window_cap
 from .linops import OpSequence, apply_linear_op
@@ -36,6 +35,10 @@ class IterationTrace:
 
 
 def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace:
+    """The orbit of ``s`` under ``seq``: x_{k+1} = apply_linear_op(op_k, x_k),
+    the one step of every orbit, for at most ``max_k`` steps (and no more
+    than ``len(seq)`` for a finite sequence).  A ``WindowCapExceeded`` step
+    ends the trace with resource flag "window-cap" and the iterates so far."""
     key = closes = None
     if seq.cyclic and not seq.constant_from(0):
         # varying cyclic ops repeat their dynamics on (set, phase) repeats
@@ -43,15 +46,13 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
         key = lambda k, x: (x, k % p)
     else:
         closes = seq.constant_from
-    phase = _MaskPhase(seq)
-    states = [phase.state(s)]
+    iterates = [s]
     resource = None
     try:
-        closure = orbit(phase.step, states, max_k if seq.cyclic else min(max_k, len(seq)),
-                        key, closes)
+        closure = orbit(lambda k, x: apply_linear_op(seq.op_at(k), x), iterates,
+                        max_k if seq.cyclic else min(max_k, len(seq)), key, closes)
     except WindowCapExceeded:
         closure, resource = None, "window-cap"
-    iterates = list(map(phase.epset, states))
     if closure:
         iterates.append(iterates[closure[0]])
 
@@ -66,51 +67,6 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
     )
     trace.periodicity_onset = full_periodicity_onset(trace)
     return trace
-
-
-class _MaskPhase:
-    """The orbit step of ``iterate_trace``.  When every op is coprime, the
-    state is a residue mask from the first fully periodic iterate on.
-
-    That iterate is U + gZ with g its canonical period.  A coprime op maps
-    U + gZ to (aU - bU) + gZ, so every later iterate is g-periodic, and its
-    state is ``_hash_key`` of its residue mask mod this fixed g: one
-    ``_image`` per step, and no EPSet.  Mask equality is set equality, so
-    the orbit's repeats are those of the EPSet iterates; the states before
-    the switch are EPSets that are not fully periodic, so no state of one
-    kind equals one of the other.  ``epset`` gives back each state's
-    EPSet, one per distinct mask, built once.  An op that is not coprime
-    multiplies the period by gcd(a, b), so with one in the sequence every
-    state stays an EPSet.
-    """
-
-    def __init__(self, seq: OpSequence):
-        self.seq = seq
-        self.coprime = seq.all_coprime()
-        self.g = None
-        self.sets = {}
-
-    def state(self, x: EPSet):
-        if not (self.coprime and x.is_fully_periodic()):
-            return x
-        self.g = x.period
-        key = _hash_key(x.pos_tail)
-        self.sets[key] = x
-        return key
-
-    def step(self, k, x):
-        op = self.seq.op_at(k)
-        if x.__class__ is tuple:
-            return _hash_key(_image(x[0], op.a, -op.b, self.g))
-        return self.state(apply_linear_op(op, x))
-
-    def epset(self, x) -> EPSet:
-        if x.__class__ is not tuple:
-            return x
-        out = self.sets.get(x)
-        if out is None:
-            out = self.sets[x] = EPSet(self.g, 0, -1, 0, x[0], x[0])
-        return out
 
 
 def full_periodicity_onset(trace: IterationTrace):

@@ -2,9 +2,14 @@ import contextlib
 import random
 import tracemalloc
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from linset.epset import EPSet
+
+# CI passes --hypothesis-profile=ci: every run draws the same examples, so
+# whether a property test fails does not depend on the run
+settings.register_profile("ci", derandomize=True)
 
 
 def random_epset(rng: random.Random, max_period: int = 12, span: int = 40) -> EPSet:

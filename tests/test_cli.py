@@ -189,6 +189,44 @@ def test_cli_sweep_deterministic_and_parallel(tmp_path):
     assert rep["summary"]["PASS"] == len(rep["cells"]) == 6
 
 
+@pytest.mark.parametrize("jobs,cores,workers", [
+    (100000, 8, 3),     # no more workers than cells
+    (100000, 2, 2),     # nor than cores
+    (100000, None, None),
+    (2, 1, None),
+    (1, 8, None),       # nor than --jobs
+])
+def test_cli_sweep_bounds_its_workers(jobs, cores, workers, monkeypatch, capsys):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class Pool:
+        # records the pool size and runs the cells here, starting no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    argv = ["sweep", "--sets", "AP+(1,3,1)", "--ops-list", "cyc[(3,1)];cyc[(2,1)];cyc[(3,2)]",
+            "--L", "3"]
+    assert run(argv + ["--jobs", str(jobs)]) == 0
+    out = capsys.readouterr().out
+    assert started == ([] if workers is None else [workers])
+    assert run(argv + ["--jobs", "1"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_cli_cross_process_determinism(tmp_path):
     import os
     import subprocess

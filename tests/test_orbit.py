@@ -1,21 +1,22 @@
 """The one orbit engine against the loops it replaced (tests/oracle.py)."""
 
 import math
+from collections import Counter
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import epsets
-from linset import stability
+from linset import linops, stability
 from linset._orbit import orbit
 from linset.analysis import stability_time
 from linset.cli import parse_ops, parse_set_expression
 from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
                           set_window_cap, window_cap)
-from linset.linops import OpSequence
+from linset.linops import LinearOp, OpSequence
 from linset.residue import ResidueSet, residue_orbit
 from linset.stability import IterationTrace, iterate_trace, verify_stabilization
 
@@ -124,9 +125,9 @@ def test_iterate_trace_named_cases(set_expr, ops, max_k):
     same_trace(parse_set_expression(set_expr), parse_ops(ops), max_k)
 
 
-# the periodic phase: the masks mod the switch's period g shrink to a
-# canonical period below g (to Z in the first case), and with a
-# non-coprime op every state stays an EPSet
+# periodic phases: under coprime ops the canonical period can shrink below
+# that of the first fully periodic iterate (to Z in the first case), and a
+# non-coprime op multiplies it by gcd(a, b)
 PHASE_CASES = [
     ("U(AP(0,6),AP(1,6))", "cyc[(2,1)]", [6, 6, 1, 1]),
     ("U(AP(1,12),AP(4,12))", "cyc[(2,1)(3,2)]", [12, 3, 3, 3]),
@@ -146,32 +147,60 @@ def test_iterate_trace_periodic_phase(set_expr, ops, periods):
         assert [x.full_period() for x in tr.iterates] == periods
 
 
-def test_periodic_phase_steps_without_epsets(monkeypatch):
-    # from the first fully periodic iterate on, a step is one residue image
-    s, seq = parse_set_expression("U(AP+(1,6,1),{0})"), parse_ops("cyc[(2,1)(3,1)(1,2)]")
-    tr = oracle.iterate_trace(s, seq, max_k=40)
-    onset = tr.periodicity_onset[0]
-    stepped = []
-    real = stability.apply_linear_op
-    monkeypatch.setattr(stability, "apply_linear_op",
-                        lambda op, x: stepped.append(x) or real(op, x))
-    assert field_values(iterate_trace(s, seq, max_k=40)) == field_values(tr)
-    assert stepped == tr.iterates[:onset]
-    # one EPSet per distinct iterate
-    assert len({id(x) for x in iterate_trace(s, seq, max_k=40).iterates}) == tr.distinct_count
-    # a non-coprime op keeps every step on EPSets
-    stepped.clear()
-    tr = iterate_trace(s, parse_ops("cyc[(2,1)(3,1)(2,2)]"), max_k=6)
-    assert stepped == tr.iterates[:6]
+def test_periodic_steps_are_one_residue_image(monkeypatch):
+    # from the first fully periodic iterate on, every step is one residue
+    # image, with no dilated operand and no Minkowski sum, a non-coprime op
+    # included
+    calls = Counter()
+    for name in ("_image", "_dilated", "_minkowski"):
+        real = getattr(linops, name)
+        monkeypatch.setattr(linops, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+    steps = []
+    real_step = stability.apply_linear_op
+
+    def step(op, x):
+        calls.clear()
+        y = real_step(op, x)
+        steps.append(dict(calls))
+        return y
+
+    monkeypatch.setattr(stability, "apply_linear_op", step)
+    s = parse_set_expression("U(AP+(1,6,1),{0})")
+    for seq in map(parse_ops, ("cyc[(2,1)(3,1)(1,2)]", "cyc[(2,1)(3,1)(2,2)]")):
+        steps.clear()
+        tr = iterate_trace(s, seq, max_k=12)
+        assert field_values(tr) == field_values(oracle.iterate_trace(s, seq, max_k=12))
+        onset = tr.periodicity_onset[0]
+        assert 0 < onset < len(steps)
+        assert steps[onset:] == [{"_image": 1}] * (len(steps) - onset)
+    # a fixed point returns its input itself, not an equal new value
+    for x in (EPSet.integers(), EPSet.residue_class(1, 3)):
+        assert real_step(LinearOp(2, 1), x) is x
 
 
-def test_mask_states_hash_apart():
-    # hash(int) is the int mod 2^61 - 1, so the bare masks 1 << k and
-    # 1 << (k + 61) share a hash; the states hash by _hash_key
-    g, seq = 4099, parse_ops("(2,1)")
-    for k in range(0, g - 61, 101):
-        x, y = (stability._MaskPhase(seq).state(EPSet.residue_class(r, g)) for r in (k, k + 61))
-        assert x != y and hash(x) != hash(y)
+def check_steps(s, seq, max_k):
+    """Trace at a cap of 512, then check each recorded step x_k -> x_{k+1}
+    against the canonical-operand sum at the default cap, and a fully
+    periodic x_k also against the bitmap of its periodic witnesses: no
+    check goes through ``apply_linear_op``."""
+    old = window_cap()
+    try:
+        set_window_cap(512)
+        tr = iterate_trace(s, seq, max_k)
+    finally:
+        set_window_cap(old)
+    for k, (x, y) in enumerate(zip(tr.iterates, tr.iterates[1:])):
+        op = seq.op_at(k)
+        assert y == oracle.linear_op_step(op, x)
+        if x.is_fully_periodic():
+            G = x.period * math.gcd(op.a, op.b)
+            assert oracle.agrees(y, oracle.periodic_gamma_bitmap(x, op.a, op.b, G), G)
+
+
+@pytest.mark.parametrize("set_expr,ops,periods", PHASE_CASES)
+def test_iterate_trace_steps_match_oracle(set_expr, ops, periods):
+    check_steps(parse_set_expression(set_expr), parse_ops(ops), 256)
 
 
 COPRIME = [(1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 3), (4, 3), (5, 2)]
@@ -188,10 +217,14 @@ def periodic_starts(draw):
     return EPSet(g, x, x, ((mask >> x % g) & 1) ^ flip, mask, mask)
 
 
+periodic_orbits = given(periodic_starts(), st.booleans(), st.booleans(),
+                        st.lists(st.sampled_from(COPRIME), min_size=1, max_size=4),
+                        st.lists(st.sampled_from(NOT_COPRIME), max_size=1),
+                        st.integers(0, 30))
+
+
 @settings(max_examples=150, deadline=None)
-@given(periodic_starts(), st.booleans(), st.booleans(),
-       st.lists(st.sampled_from(COPRIME), min_size=1, max_size=4),
-       st.lists(st.sampled_from(NOT_COPRIME), max_size=1), st.integers(0, 30))
+@periodic_orbits
 def test_iterate_trace_matches_replaced_loop_from_periodic_sets(s, cyclic, mixed, ops, extra,
                                                                 max_k):
     seq = OpSequence(tuple(ops + extra if mixed else ops), cyclic=cyclic)
@@ -201,6 +234,19 @@ def test_iterate_trace_matches_replaced_loop_from_periodic_sets(s, cyclic, mixed
         same_trace(s, seq, max_k)
     finally:
         set_window_cap(old)
+
+
+@settings(max_examples=150, deadline=None)
+@periodic_orbits
+# Z, 2Z and {0, 1} + 3Z under a non-coprime op, so with G = 2g: the image
+# of the first two is the one class 0, whose mask equals the input's mask
+# mod g as an int, and the third's image has classes at g and above
+@example(EPSet.integers(), False, True, [(1, 1)], [(2, 2)], 4)
+@example(EPSet.residue_class(0, 2), True, True, [(3, 1)], [(4, 2)], 6)
+@example(EPSet(3, 0, -1, 0, 0b11, 0b11), False, True, [(1, 1)], [(2, 2)], 2)
+def test_iterate_trace_steps_match_oracle_from_periodic_sets(s, cyclic, mixed, ops, extra,
+                                                             max_k):
+    check_steps(s, OpSequence(tuple(ops + extra if mixed else ops), cyclic=cyclic), max_k)
 
 
 def test_iterate_trace_window_cap_keeps_partial_iterates():
