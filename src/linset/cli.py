@@ -5,7 +5,8 @@ Exit codes: 0 complete/PASS, 1 verification FAIL, 2 resource-limited or
 inconclusive (ResourceLimitExceeded), 3 usage error (bad arguments, and
 InputError, which the set-grammar errors derive from), 4 internal error
 (any other exception, reported as one "internal error:" line).  The
-window cap honors the LINSET_WINDOW_CAP environment variable.  JSON is
+window cap honors the LINSET_WINDOW_CAP environment variable; a value
+that is not a positive integer is a usage error for every command.  JSON is
 the format of record.  Its "schema" field has one source,
 ``stability.SCHEMA``, which the verifier's cells carry too; ``run`` adds
 it and "command" to every report, and renders the report as JSON, as text
@@ -33,7 +34,8 @@ from . import constructions
 from ._bits import _SMALL_BITS
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import EPSet, InputError, ResourceLimitExceeded, set_window_cap, window_cap
+from .epset import (EPSet, InputError, ResourceLimitExceeded, _env_cap_error, set_window_cap,
+                    window_cap)
 from .linops import LinearOp, OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -735,6 +737,8 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Run one command; returns its exit code (see the module docstring)."""
     try:
+        if _env_cap_error:      # a malformed LINSET_WINDOW_CAP is a usage error
+            raise InputError(_env_cap_error)
         args = _parser().parse_args(argv)
         body, rows, header, code = args.func(args)
         report = {"schema": SCHEMA, "command": args.command, **body}

@@ -23,8 +23,6 @@ from ._bits import (_class_sum, _first_of_class, _fold_mod, _from_offsets, _hash
 
 DEFAULT_WINDOW_CAP = 1 << 20
 
-_window_cap = int(os.environ.get("LINSET_WINDOW_CAP", DEFAULT_WINDOW_CAP))
-
 
 class InputError(ValueError):
     """A caller-supplied argument failed validation: a malformed or
@@ -51,6 +49,23 @@ class WindowCapExceeded(ResourceLimitExceeded):
         )
         self.requested = requested
         self.cap = cap
+
+
+def _env_window_cap() -> tuple:
+    """(cap, error): the cap that LINSET_WINDOW_CAP names, the default when
+    it is unset, and None.  A value that is not a positive integer gives the
+    default and the message with which ``cli.run`` refuses every command."""
+    text = os.environ.get("LINSET_WINDOW_CAP", str(DEFAULT_WINDOW_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        return DEFAULT_WINDOW_CAP, "LINSET_WINDOW_CAP must be a positive integer, not %r" % text
+    return cap, None
+
+
+_window_cap, _env_cap_error = _env_window_cap()
 
 
 def window_cap() -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import _fold_mod, _image, _periodic_fill, _rotate, _spread
+from ._bits import _fold_mod, _image, _rotate, _spread
 from .epset import EPSet, InputError, _dilated, _minkowski, check_window, window_cap
 
 
@@ -329,59 +329,44 @@ def apply_linear_op(op: LinearOp, s: EPSet) -> EPSet:
       with i, j both large, so a(u + gi) - b(u' + gj) fills the class
       au - bu' + G*Z for members u, u' of one tail;
     - aR - bR mod G holds every class that aS - bS meets, as a*g and
-      b*g are multiples of G.
+      b*g are multiples of G; so every mask is read below g, unfilled.
 
-    A fully periodic S (R = U = D) maps to cover + G*Z, one ``_image``
-    mod G of U's residues below g (a*g and b*g are multiples of G, so no
-    fill to G is needed); when G == g and the image is U, the step is a
-    fixed point and returns S itself.  Any other S is decided when
-    ``_image(R, a, -b, G) == cover``: cover + G*Z then lies in aS - bS and
-    holds it, and no dilation or Minkowski piece is built.  That image is
-    skipped when cover is all of Z/GZ or R = U = D, and the screen
-    ``_spread(R, a - b, G) & ~cover == 0`` (the diagonal a*x - b*x lies in
-    aS - bS) turns most undecided inputs away at one spread.
+    S is decided when cover is nonempty and ``_image(R, a, -b, G) ==
+    cover``: cover + G*Z then lies in aS - bS and holds it, and no
+    dilation or Minkowski piece is built.  That image is skipped when
+    cover is all of Z/GZ or R = U = D (a fully periodic S, which is a
+    fixed point returned as itself when G == g and the image is U), and
+    the screen ``_spread(R, a - b, G) & ~cover == 0`` (the diagonal
+    a*x - b*x lies in aS - bS) turns most undecided inputs away.
 
     Caps.  A decided step is bounded by its answer's period G: a fully
     periodic S raises ``WindowCapExceeded`` when G passes ``window_cap()``,
     before any G-bit mask is built, and any other S then goes to the
-    Minkowski sum of aS and -bS.  That sum is refused when a dilated
-    operand or the sum needs a window or period past the cap, so a step
-    that is decided may return where the sum would have been refused.  The
-    operands of the sum are raw pieces (``epset._dilated``), not EPSet
-    values.
+    Minkowski sum of aS and -bS, on raw pieces (``epset._dilated``), which
+    is refused when a dilated operand or the sum needs a window or period
+    past the cap: a decided step may return where the sum is refused.
     """
     if s.is_empty():
         return s
-    g = s.period
-    G = g * math.gcd(op.a, op.b)
-    if s.is_fully_periodic():
-        check_window(G)
-        m = _image(s.pos_tail, op.a, -op.b, G)
-        return s if G == g and m == s.pos_tail else EPSet(G, 0, -1, 0, m, m)
-    if G <= window_cap():
-        m = _residue_decided(s, op.a, -op.b, G)
-        if m is not None:
-            return EPSet(G, 0, -1, 0, m, m)
-    k = s._key()
-    return _minkowski(_dilated(k, op.a), _dilated(k, -op.b))
-
-
-def _residue_decided(s: EPSet, a: int, b: int, G: int):
-    """The residue mask mod G of aS + bS, S not fully periodic, when the
-    rule of ``apply_linear_op`` decides it (a > 0 > b), else None."""
     g, up, down = s.period, s.pos_tail, s.neg_tail
-    cover = _image(_periodic_fill(up, g, 0, G), a, b, G)
-    if down != up:
-        cover |= _image(_periodic_fill(down, g, 0, G), a, b, G)
-    if not cover:       # no tail, so aS + bS is finite and nonempty
-        return None
-    every = up | down | _rotate(_fold_mod(s.window, g), s.lo, g)
-    if every == up == down or cover.bit_count() == G:
-        return cover
-    every = _periodic_fill(every, g, 0, G)
-    if _spread(every, a + b, G) & ~cover or _image(every, a, b, G) != cover:
-        return None
-    return cover
+    a, b = op.a, -op.b
+    G = g * math.gcd(a, b)
+    periodic = s.is_fully_periodic()
+    if periodic:
+        check_window(G)
+    if G <= window_cap():
+        cover = _image(up, a, b, G)
+        if down != up:
+            cover |= _image(down, a, b, G)
+        every = up | down
+        if s.window:
+            every |= _rotate(_fold_mod(s.window, g), s.lo, g)
+        if cover and (every == up == down or cover.bit_count() == G
+                      or not _spread(every, a + b, G) & ~cover
+                      and _image(every, a, b, G) == cover):
+            return s if periodic and G == g and cover == up else EPSet(G, 0, -1, 0, cover, cover)
+    k = s._key()
+    return _minkowski(_dilated(k, a), _dilated(k, b))
 
 
 def apply_composition(seq, s: EPSet) -> EPSet:

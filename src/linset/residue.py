@@ -11,8 +11,8 @@ that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
 ``_bits._image`` is the one residue image: every function here computes on
 bare masks and builds a ``ResidueSet`` only for what it returns.  This
-module has no EPSet conversion; ``linops.apply_linear_op`` reads a fully
-periodic EPSet's residues and calls ``_image`` itself.
+module has no EPSet conversion; ``linops.apply_linear_op`` reads an
+EPSet's residues and calls ``_image`` itself.
 """
 
 from __future__ import annotations

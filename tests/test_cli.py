@@ -244,6 +244,44 @@ def test_cli_cross_process_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_env_window_cap():
+    # the cap is read from the environment at import, so each case is a process
+    import os
+    import subprocess
+    import sys
+
+    import linset
+    from linset.epset import DEFAULT_WINDOW_CAP
+
+    def linset_run(cap, *argv):
+        env = dict(os.environ, LINSET_WINDOW_CAP=cap,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(linset.__file__)))
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+    # the residues decide (3,1) on AP+(1,400,1), so it returns although 3S
+    # has period 1200; (3,3) needs G = 1200, past the cap
+    step = ["-m", "linset.cli", "iterate", "--set", "AP+(1,400,1)", "--ops"]
+    proc = linset_run("1000", *step, "(3,1)")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [x["set"] for x in report["iterates"]] == ["AP+(1,400,1)", "AP(2,400)"]
+    proc = linset_run("1000", *step, "(3,3)")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["resource_flag"] == "window-cap"
+    # a cap that is not a positive integer is a usage error of every command
+    for cap in ("abc", "1e6", "0", "-5"):
+        proc = linset_run(cap, "-m", "linset.cli", "iterate", "--set", "AP+(1,3,1)",
+                          "--ops", "(3,1)")
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr.count("\n") == 1 and "LINSET_WINDOW_CAP" in proc.stderr
+    proc = linset_run("abc", "-m", "linset.cli", "residue", "--set", "mod 4 {0}",
+                      "--a", "2", "--b", "1")
+    assert proc.returncode == 3 and proc.stderr.count("\n") == 1
+    # importing the library does not raise: it keeps the default cap
+    proc = linset_run("abc", "-c", "import linset; print(linset.window_cap())")
+    assert proc.returncode == 0 and proc.stdout.split() == [str(DEFAULT_WINDOW_CAP)]
+
+
 def test_cli_unprintable_g_bound_is_a_usage_error(capsys):
     for argv in (["verify-thm61", "--set", "AP+(1,3,1)", "--ops", "cyc[(3,1)]"],
                  ["sweep", "--sets", "AP+(1,3,1)", "--ops-list", "cyc[(3,1)]"]):
