@@ -14,7 +14,8 @@ shift-or, and ``_prime_factors`` the one trial division (``_min_period``
 and ``residue.totient`` both factor through it).
 
 Every helper here is linear in the mask width w, but for three.
-``_min_period`` tests each prime factor of m, O(w log m) at worst.
+``_min_period`` tests each prime factor of m that divides every mask's
+popcount, O(w log m) at worst.
 ``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
 word operations.  ``convolve_or``, the one boolean convolution under all
 Minkowski pieces: a shift-or costs O(w) per set bit of the sparser
@@ -243,9 +244,15 @@ def _min_period(m: int, *masks) -> int:
     it is reached from m by dividing out one prime factor at a time while
     the masks stay invariant: a test per prime factor of m, however many
     divisors m has.  A mask is invariant under a divisor k of m iff bit i
-    equals bit i + k for every i < m - k."""
+    equals bit i + k for every i < m - k.  Such a mask is a union of cosets
+    of the subgroup of order m/k, so m/k divides its popcount: only the
+    primes of q = gcd(m, every popcount) are tried, and q is 1, with no
+    factoring, for a mask of one residue."""
+    q = m
+    for x in masks:
+        q = math.gcd(q, x.bit_count())
     d = m
-    for p in _prime_factors(m):
+    for p in _prime_factors(q):
         while d % p == 0:
             k = d // p
             low = (1 << (m - k)) - 1

@@ -20,13 +20,13 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from . import constructions
 from ._bits import _SMALL_BITS
 from .analysis import density_profile, dplus, stability_time, stability_time_bounds
 from .constructions import TruncatedSet
-from .epset import (EPSet, InputError, ResourceLimitExceeded, _env_cap_error, set_window_cap,
-                    window_cap)
+from .epset import (EPSet, InputError, ResourceLimitExceeded, _class_bit, _env_cap_error, _union,
+                    set_window_cap, window_cap)
 from .linops import LinearOp, OpSequence
 from .residue import (
     DecompositionCertificate,
@@ -216,7 +216,37 @@ def _call(sc: _Scanner, readers, more=None) -> list:
     return out
 
 
+# One well-formed AP(r,g), AP+(r,g,n0) or AP-(r,g,n0) atom; the reader
+# checks that the sign and the third argument come together.
+_AP = re.compile(r"\s*AP([+-]?)\s*\(\s*(%s)\s*,\s*(%s)\s*(?:,\s*(%s)\s*)?\)" % ((_INT,) * 3))
+
+
+def _ap_key(kind: str, r: int, g: int, n0=None) -> tuple:
+    """The canonical key of ``AP(r,g)`` (kind ""), ``AP+(r,g,n0)`` ("+")
+    or ``AP-(r,g,n0)`` ("-"), the ``_key()`` of its EPSet: a half line's
+    empty window sits where its tail rules split, at its least member for
+    AP+, and for AP- at the least member of the class above its last."""
+    if g <= 0:
+        raise SetSemanticError("modulus must be positive")
+    bit = _class_bit(r, g)
+    if not kind:
+        return (g, 0, -1, 0, bit, bit)
+    if kind == "+":
+        lo = max(r, n0)
+        lo += (r - lo) % g
+        return (g, lo, lo - 1, 0, 0, bit)
+    lo = min(r, n0) + 1
+    lo += (r - lo) % g
+    return (g, lo, lo - 1, 0, bit, 0)
+
+
 def _parse_set(sc: _Scanner):
+    """The value of the set expression at the scanner: the canonical key of
+    an AP atom, else an EPSet or a TruncatedSet."""
+    m = _AP.match(sc.text, sc.i)
+    if m and (m[1] == "") == (m[4] is None):
+        sc.i = m.end()
+        return _ap_key(m[1], _to_int(m, 2), _to_int(m, 3), m[4] and _to_int(m, 4))
     ch = sc.peek()
     if ch == "{":
         return EPSet.from_iterable(_int_literal(sc))
@@ -230,18 +260,13 @@ def _parse_set(sc: _Scanner):
     if name == "N":
         return EPSet.naturals()
     if name == "U":
-        parts = _call(sc, (_parse_set,), _parse_set)
-        return EPSet.union(*(p.to_epset() if isinstance(p, TruncatedSet) else p
-                             for p in parts))
+        # one canonicalization, of the union of the parts' keys
+        return _union([p if isinstance(p, tuple) else
+                       (p.to_epset() if isinstance(p, TruncatedSet) else p)._key()
+                       for p in _call(sc, (_parse_set,), _parse_set)])
     if name in ("AP", "AP+", "AP-"):
-        r, g, *n0 = _call(sc, (_Scanner.integer,) * (2 if name == "AP" else 3))
-        if g <= 0:
-            raise SetSemanticError("modulus must be positive")
-        if name == "AP":
-            return EPSet.residue_class(r, g)
-        if name == "AP+":
-            return EPSet.half_line(r, g, max(r, *n0))
-        return EPSet.half_line_down(r, g, min(r, *n0))
+        # not one _AP match: its token reading raises
+        return _ap_key(name[2:], *_call(sc, (_Scanner.integer,) * (2 if name == "AP" else 3)))
     if name == "bohr":
         alpha, delta, n = _call(sc, (_Scanner.fraction, _Scanner.fraction, _Scanner.integer))
         try:
@@ -264,7 +289,7 @@ def parse_set_expression(text: str):
     out = _parse_set(sc)
     if not sc.at_end():
         raise SetSyntaxError("trailing input", sc.i)
-    return out
+    return EPSet(*out) if isinstance(out, tuple) else out
 
 
 def parse_residue_set(text: str) -> ResidueSet:
@@ -375,7 +400,70 @@ def _parse_rand(text: str, seed: int) -> OpSequence:
 # report rendering
 
 def render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
+    byte, written by one recursive pass into one list of chunks: strings by
+    json's C string encoder, in place of the pure-Python encoder that json
+    takes for ``indent`` before Python 3.13."""
+    out = []
+    _json_chunks(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(o, out, nl):
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is the newline and
+    indent of the line that ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep)
+            sep = "," + inner
+            # json writes a key that is not a str as the text of that scalar
+            out.append(_quote(k) if isinstance(k, str) else '"%s"' % _json_scalar(k))
+            out.append(": ")
+            _json_chunks(v, out, inner)
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            sep = "," + inner
+            _json_chunks(v, out, inner)
+        out.append(nl + "]")
+    else:
+        out.append(_json_scalar(o))
+
+
+def _json_scalar(o) -> str:
+    """json's text of None, a bool, an int or a float; TypeError for any
+    other value, as json raises it."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def render_text(obj) -> str:

@@ -29,6 +29,8 @@ from .epset import InputError, ResourceLimitExceeded, _decimals, check_window, w
 
 
 def totient(n: int) -> int:
+    if n < 1:
+        raise InputError("totient needs a positive integer")
     out = n
     for p in _prime_factors(n):
         out -= out // p
@@ -254,8 +256,9 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     """Iterate U -> aU + bU to its cycle (guaranteed within 2^g steps).
 
     When some cycle member contains 0, generates the full group and
-    preserves cardinality, the cycle length must divide phi(a)*phi(b);
-    that check's outcome is recorded (None when no member qualifies).
+    preserves cardinality, the cycle length must divide phi(|a|)*phi(|b|);
+    that check's outcome is recorded (None when no member qualifies, or
+    when a or b is 0).
     """
     if math.gcd(a, b) != 1:
         raise InputError("coefficients must be coprime")
@@ -272,12 +275,13 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     size = cycle[0].bit_count()
     preserved = all(m.bit_count() == size for m in cycle)
     divisibility = None
-    for m, image in zip(cycle, images):
-        if not (m & 1) or math.gcd(g, *_members(m)) != 1:
-            continue
-        if image.bit_count() == m.bit_count():
-            divisibility = (totient(a) * totient(b)) % length == 0
-            break
+    if a and b:     # phi is defined on positive integers
+        for m, image in zip(cycle, images):
+            if not (m & 1) or math.gcd(g, *_members(m)) != 1:
+                continue
+            if image.bit_count() == m.bit_count():
+                divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
+                break
     states = [ResidueSet.from_mask(g, m) for m in masks]
     return ResidueOrbit(states, onset, length, preserved, divisibility)
 

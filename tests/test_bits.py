@@ -409,6 +409,11 @@ def periodic_masks(draw):
 @example((720720, [1]))
 @example((1 << 12, [_periodic_fill(0b1, 1 << 5, 0, 1 << 12), 0]))
 @example((2 * 3 * 5 * 7, [_periodic_fill(0b1, 2 * 5, 0, 210), _periodic_fill(0b1, 3 * 7, 0, 210)]))
+# popcounts 1 (no prime tried), 8 (of 12, period 3), 0 and 0, 0 and 12
+@example((32771, [1 << 5]))
+@example((12, [_periodic_fill(0b101, 3, 0, 12)]))
+@example((12, [0, 0]))
+@example((12, [0, (1 << 12) - 1]))
 @settings(max_examples=400, deadline=None)
 def test_min_period_matches_divisor_scan(case):
     m, masks = case

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -448,11 +449,92 @@ def set_texts(draw):
 @example("bohr(1/3,1/6)")
 @example("U(N x)")
 @example("sparse(1/6,10")
+# AP atoms that the one _AP match reads, and some that it leaves to the
+# token reading
+@example("AP( 1 , 3 )")
+@example("AP+ (1,3,1)")
+@example("AP+(1, 3 ,1)")
+@example("AP(+1,3)")
+@example("AP(1,-3)")
+@example("AP(1,0)")
+@example("AP-(4,6,-11)")
+@example("AP(0,2000000)")
+@example("AP(" + "9" * 5000 + ",3)")
+# lcm(1024, 1025) = 1049600 passes the cap of 2^20: a U refuses its own
+# window before the trailing input or an outer U (7347200 with AP(0,7)) is read
+@example("U(AP(0,1024),AP(0,1025))x")
+@example("U(U(AP(0,1024),AP(0,1025)),AP(0,7))")
 @settings(max_examples=600, deadline=None)
 def test_parse_set_matches_per_constructor_parse(text):
     # the same set, or the same error with the same message and position
     assert set_outcome(parse_set_expression, text) == \
         set_outcome(oracle.parse_set_expression, text)
+
+
+@given(st.sampled_from(["AP", "AP+", "AP-"]), st.integers(-40, 40), st.integers(1, 30),
+       st.integers(-40, 40))
+@example("AP", 5, 1, 0)
+@example("AP+", -7, 1, -9)
+@example("AP-", 4, 6, -11)
+def test_ap_atom_key_is_canonical(kind, r, g, n0):
+    # the key that _parse_set returns for an AP atom is that of the EPSet
+    text = "%s(%d,%d)" % (kind, r, g) if kind == "AP" else "%s(%d,%d,%d)" % (kind, r, g, n0)
+    key = cli._parse_set(cli._Scanner(text))
+    if kind == "AP":
+        want = EPSet.residue_class(r, g)
+    elif kind == "AP+":
+        want = EPSet.half_line(r, g, max(r, n0))
+    else:
+        want = EPSet.half_line_down(r, g, min(r, n0))
+        # the window sits at the member after the last one, not at last + 1
+        last = min(r, n0) - (min(r, n0) - r) % g
+        assert key == (g, last + g, last + g - 1, 0, 1 << r % g, 0)
+    assert key == want._key()
+
+
+def test_union_of_atoms_canonicalizes_once(monkeypatch):
+    want = EPSet.union(EPSet.half_line(0, 5, 0), EPSet.half_line(2, 5, 2),
+                       EPSet.residue_class(1, 5))
+    made = []
+    init = EPSet.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(EPSet, "__init__", counted)
+    s = parse_set_expression("U(AP+(0,5,0),AP+(2,5,2),AP(1,5))")
+    assert s == want and len(made) == 1
+
+
+# JSON values: every scalar kind json writes, strings with quotes,
+# backslashes, control and non-ASCII characters, and nested containers
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 60, 10 ** 60)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+                | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001f600"]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.lists(inner, max_size=4).map(tuple)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                           max_leaves=30)
+
+
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [{}], "d": -0.0, "e": float("nan"), "f": float("-inf")})
+@example([-(10 ** 1000), 2 ** 64, 1e300, 5e-324])
+@example({1: "int", 2.5: "float", -3: "negative"})
+@example({True: "true", False: "false"})
+@example({None: "none"})
+@settings(max_examples=400, deadline=None)
+def test_render_json_matches_json_dumps(value):
+    assert cli.render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", Fraction(1, 3), object(), [1, {"a": {2}}],
+                                   {(1, 2): 0}])
+def test_render_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli.render_json(value)
 
 
 def test_parse_ops_repetition_cap():

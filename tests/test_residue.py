@@ -1,6 +1,7 @@
 """Tests for residue-set structure: images, periods, decomposition, orbits."""
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import astuple
@@ -294,6 +295,34 @@ def test_multiplicative_order_refuses_a_modulus_below_1(x, n):
 def test_totient_matches_gcd_count():
     for n in range(1, 501):
         assert totient(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_totient_refuses_below_1(n):
+    # it returned n itself, so residue_orbit read phi(-3) as -3
+    with pytest.raises(InputError, match="totient needs a positive integer"):
+        totient(n)
+
+
+def test_order_divisibility_with_negative_coefficients(capsys):
+    from linset.cli import run
+    # {0,1} mod 3 under -3U - U cycles with length 2 = phi(3) * phi(1)
+    assert run(["residue", "--set", "mod 3 {0,1}", "--a", "-3", "--b", "-1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["cycle_length"], rep["order_divisibility"]) == (2, True)
+    # phi(|a|) * phi(|b|) holds whatever the signs, and a coefficient 0
+    # makes no claim
+    for g in range(1, 8):
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                if math.gcd(a, b) != 1 or min(a, b) >= 0:
+                    continue
+                for mask in range(1, 1 << g):
+                    orb = residue_orbit(ResidueSet.from_mask(g, mask), a, b)
+                    if a and b:
+                        assert orb.order_divisibility is not False, (g, a, b, mask)
+                    else:
+                        assert orb.order_divisibility is None
 
 
 def test_to_expr_matches_join_form():
