@@ -90,9 +90,10 @@ class _Scanner:
             raise SetSyntaxError("expected '%s'" % ch, self.i)
         self.i += 1
 
-    def at_end(self):
+    def end(self):
         self.skip_ws()
-        return self.i >= len(self.text)
+        if self.i < len(self.text):
+            raise SetSyntaxError("trailing input", self.i)
 
     def integer(self):
         m = _INTEGER.match(self.text, self.i)
@@ -287,8 +288,7 @@ def parse_set_expression(text: str):
     sparse(..).  Returns an EPSet or a TruncatedSet."""
     sc = _Scanner(text)
     out = _parse_set(sc)
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     return EPSet(*out) if isinstance(out, tuple) else out
 
 
@@ -301,8 +301,7 @@ def parse_residue_set(text: str) -> ResidueSet:
     if g <= 0:
         raise SetSemanticError("modulus must be positive")
     elems = _int_literal(sc)
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     return ResidueSet(g, elems)
 
 
@@ -354,8 +353,7 @@ def parse_ops(text: str) -> OpSequence:
         sc.integer()
     if cyclic:
         sc.take("]")
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     if not ops:
         raise SetSyntaxError("empty operation sequence", sc.i)
     return OpSequence(tuple(ops), cyclic=cyclic)
@@ -386,8 +384,7 @@ def _parse_rand(text: str, seed: int) -> OpSequence:
     if sc.name() != "rand":
         raise SetSyntaxError("expected 'rand'", 0)
     n, bound = _call(sc, (_Scanner.integer,) * 2)
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     if n < 1 or bound < 1:
         raise SetSemanticError("rand(n,L) needs n >= 1 and L >= 1")
     if n > window_cap():
@@ -485,8 +482,6 @@ def render_text(obj) -> str:
                     walk(v, pre + "  ")
                 else:
                     lines.append("%s- %s" % (pre, v))
-        else:
-            lines.append("%s%s" % (pre, o))
 
     walk(obj, "")
     return "\n".join(lines) + "\n"
@@ -665,9 +660,7 @@ def cmd_construct(args):
         report = {"delta": args.delta, "n": args.N, "count": len(t), "set": t.to_expr()}
         rows, header = [(x,) for x in t.elems], ("element",)
     elif kind == "parity":
-        if args.bits.strip("01"):
-            raise InputError("bits must be 0 or 1")
-        fx = constructions.parity_flip_sequence([int(c) for c in args.bits])
+        fx = constructions.parity_flip_sequence(args.bits)
         texts = [x.to_expr() for x in fx.predictions]
         report = {"bits": args.bits, "prediction_rule": "prefix-parity",
                   "ops": str(fx.seq),

@@ -13,9 +13,9 @@ import numpy as np
 
 from ._bits import _from_offsets, _int_dtype, _members, convolve_or
 from ._orbit import orbit
-from .epset import EPSet, InputError, _decimals, check_window
+from .epset import EPSet, InputError, _decimals, check_window, max_consecutive_gap
 from .linops import LinearOp, OpSequence, apply_linear_op
-from .residue import multiplicative_order
+from .residue import _check_coprime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ def finite_gamma(elems, a: int, b: int):
     return _members(convolve_or(amask, bmask), a * lo - b * hi)
 
 
-def max_consecutive_gap(sorted_elems) -> int:
-    if len(sorted_elems) < 2:
-        return 0
-    return max(y - x for x, y in zip(sorted_elems, sorted_elems[1:]))
-
-
 @dataclass
 class ProgressionOrbit:
     """The progression {ab*m + 1 : m >= 0} and its predicted orbit under
@@ -94,8 +88,7 @@ class ProgressionOrbit:
 
 
 def ap_counterexample(a: int, b: int) -> ProgressionOrbit:
-    if math.gcd(a, b) != 1:
-        raise InputError("coefficients must be coprime")
+    _check_coprime(a, b)
     if not a > b >= 1:
         raise InputError("need a > b >= 1")
     ab = a * b
@@ -224,11 +217,13 @@ def parity_flip_sequence(bits) -> ParityFixture:
 
     (2,1) fixes both 1+3Z and 2+3Z while (3,1) swaps them, so the k-th
     iterate is 1+3Z when the number of 1-bits among the first k is even
-    and 2+3Z otherwise.
+    and 2+3Z otherwise.  Each bit is 0, 1, "0" or "1", so a string of
+    0s and 1s is read as its bits; any other entry raises ``InputError``.
     """
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
+    bits = tuple(bits)
+    if any(b not in (0, 1, "0", "1") for b in bits):
         raise InputError("bits must be 0 or 1")
+    bits = tuple(map(int, bits))
     seq = OpSequence(tuple((2, 1) if b == 0 else (3, 1) for b in bits))
     base = EPSet.residue_class(1, 3)
     flipped = EPSet.residue_class(2, 3)

@@ -352,21 +352,16 @@ class EPSet:
         Without it the whole set is scanned exactly; returns ``math.inf``
         when the set is bounded above (no next element beyond some point).
         """
-        if within is not None:
-            a, b = within
-            elems = self.elements_in(a, b)
-            if len(elems) < 2:
-                return 0
-            return max(y - x for x, y in zip(elems, elems[1:]))
-        if self.is_empty():
-            raise InputError("max_gap of the empty set is undefined")
-        if not self.pos_tail:
-            return math.inf
-        # every gap of a tail occurs within two periods of the window
-        g = self.period
-        elems = self.elements_in(self.lo - 2 * g if self.neg_tail else self.min_element(),
-                                 self.hi + 2 * g)
-        return max(y - x for x, y in zip(elems, elems[1:]))
+        if within is None:
+            if self.is_empty():
+                raise InputError("max_gap of the empty set is undefined")
+            if not self.pos_tail:
+                return math.inf
+            # every gap of a tail occurs within two periods of the window
+            g = self.period
+            within = (self.lo - 2 * g if self.neg_tail else self.min_element(),
+                      self.hi + 2 * g)
+        return max_consecutive_gap(self.elements_in(*within))
 
     # -- textual form ----------------------------------------------------------
 
@@ -392,6 +387,12 @@ class EPSet:
             first = self.hi + 1 + ((r - self.hi - 1) % g)
             parts.append("AP+(%d,%d,%d)" % (first, g, first))
         return parts[0] if len(parts) == 1 else "U(%s)" % ",".join(parts)
+
+
+def max_consecutive_gap(sorted_elems) -> int:
+    """Largest difference of neighbours in a sorted sequence; 0 when it
+    has fewer than two entries."""
+    return max((y - x for x, y in zip(sorted_elems, sorted_elems[1:])), default=0)
 
 
 def _decimals(xs) -> str:

@@ -9,10 +9,16 @@ Convention note: the decomposition places V in a1*G and X in b1*G with
 a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
 that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
-``_bits._image`` is the one residue image: every function here computes on
-bare masks and builds a ``ResidueSet`` only for what it returns.  This
-module has no EPSet conversion; ``linops.apply_linear_op`` reads an
-EPSet's residues and calls ``_image`` itself.
+Three kernels compute the image aU + bU.  ``_bits._image`` images one
+Python-int mask; every per-set function here (``gamma_mod``,
+``cardinality_check``, ``decompose_equality_case``, ``residue_orbit``,
+``nonperiodic_absorption_check``) computes with it on bare masks and
+builds a ``ResidueSet`` only for what it returns.  ``cardinality_sweep``
+images many masks at once on numpy lanes for g <= 64: ``_image_table``
+builds the images of all 2^g subsets by doubling, and ``_image_masks``
+images a given array of sampled masks.  This module has no EPSet
+conversion; ``linops.apply_linear_op`` reads an EPSet's residues and calls
+``_image`` itself.
 """
 
 from __future__ import annotations
@@ -35,6 +41,12 @@ def totient(n: int) -> int:
     for p in _prime_factors(n):
         out -= out // p
     return out
+
+
+def _check_coprime(a: int, b: int) -> None:
+    """Refuse coefficients a, b with gcd(a, b) != 1."""
+    if math.gcd(a, b) != 1:
+        raise InputError("coefficients must be coprime")
 
 
 def multiplicative_order(x: int, n: int) -> int:
@@ -135,8 +147,7 @@ def period(u: ResidueSet) -> ResidueSet:
 
 def cardinality_check(u: ResidueSet, a: int, b: int):
     """(|U|, |aU + bU|, |aU+bU| >= |U|); requires gcd(a, b) = 1."""
-    if math.gcd(a, b) != 1:
-        raise InputError("coefficients must be coprime")
+    _check_coprime(a, b)
     n = _image(u.mask, a, b, u.modulus).bit_count()
     return len(u), n, n >= len(u)
 
@@ -193,8 +204,7 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     so that 0 is a member; the certificate records the translation.
     Requires gcd(a, b) = 1.
     """
-    if math.gcd(a, b) != 1:
-        raise InputError("coefficients must be coprime")
+    _check_coprime(a, b)
     if not u.mask:
         return DecompositionFailure("empty set")
     g = u.modulus
@@ -260,8 +270,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     that check's outcome is recorded (None when no member qualifies, or
     when a or b is 0).
     """
-    if math.gcd(a, b) != 1:
-        raise InputError("coefficients must be coprime")
+    _check_coprime(a, b)
     g = u.modulus
     masks = [u.mask]
     closure = orbit(lambda k, m: _image(m, a, b, g), masks, max_steps,
@@ -296,8 +305,7 @@ class AbsorptionReport:
 
 def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionReport:
     """For 0 in X aperiodic with aX + bX = aX: X sits in (g/gcd(g,b))*G."""
-    if math.gcd(a, b) != 1:
-        raise InputError("coefficients must be coprime")
+    _check_coprime(a, b)
     g = x.modulus
     if not (x.mask & 1):
         return AbsorptionReport(False, "0 not a member", None, None)

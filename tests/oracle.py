@@ -604,8 +604,7 @@ def parse_ops(text):
         ops.extend([(a, b)] * reps)
     if cyclic:
         sc.take("]")
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     if not ops:
         raise SetSyntaxError("empty operation sequence", sc.i)
     return OpSequence(tuple(ops), cyclic=cyclic)
@@ -688,6 +687,5 @@ def parse_set_expression(text: str):
     sparse(..).  Returns an EPSet or a TruncatedSet."""
     sc = _Scanner(text)
     out = _parse_set(sc)
-    if not sc.at_end():
-        raise SetSyntaxError("trailing input", sc.i)
+    sc.end()
     return out

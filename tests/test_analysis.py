@@ -106,6 +106,10 @@ def test_gap_bound_threshold_logic():
     rep = gap_bound_check(sparse, 2, 1, within=(0, 300))
     assert not rep.precondition_ok
 
+    for a, b in ((1, 2), (2, 0)):
+        with pytest.raises(InputError, match="^need a >= b >= 1$"):
+            gap_bound_check(x, a, b)
+
 
 def test_kneser_examples():
     x = EPSet.half_line(0, 3, 0)   # 3N
@@ -121,6 +125,12 @@ def test_kneser_examples():
     x = EPSet(5, 0, -1, 0, 0, 0b00011)  # {0,1} + 5N
     rep = kneser_dichotomy(x, 3)
     assert rep.verified
+
+    for s in (EPSet.integers(), EPSet.from_iterable([-1, 2])):
+        with pytest.raises(InputError, match="^the dichotomy applies to sets of nonnegative"):
+            kneser_dichotomy(s, 2)
+    with pytest.raises(InputError, match="^positive lower density required$"):
+        kneser_dichotomy(EPSet.from_iterable([0, 2]), 2)
 
 
 def test_kneser_branch_one():

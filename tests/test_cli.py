@@ -518,7 +518,8 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=
 
 
 @given(JSON_VALUES)
-@example({"a": [], "b": {}, "c": [{}], "d": -0.0, "e": float("nan"), "f": float("-inf")})
+@example({"a": [], "b": {}, "c": [{}], "d": -0.0, "e": float("nan"), "f": float("-inf"),
+          "g": float("inf")})
 @example([-(10 ** 1000), 2 ** 64, 1e300, 5e-324])
 @example({1: "int", 2.5: "float", -3: "negative"})
 @example({True: "true", False: "false"})

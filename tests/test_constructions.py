@@ -16,7 +16,7 @@ from linset.constructions import (
     sparse_interval_union,
     sqrt2_minus_one,
 )
-from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
+from linset.epset import EPSet, InputError, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import LinearOp, apply_linear_op
 
 
@@ -55,7 +55,7 @@ def test_ap_counterexample_matches_exact_iteration():
 
 
 def test_ap_counterexample_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^coefficients must be coprime$"):
         ap_counterexample(4, 2)
     with pytest.raises(ValueError):
         ap_counterexample(2, 3)
@@ -70,6 +70,11 @@ def test_scaled_divergence():
     rep = scaled_divergence(3, 2, 1, steps=4)
     assert all(rep.divisible)
     assert rep.min_nonzero_abs == [1, 3, 9, 27, 81]
+
+    with pytest.raises(InputError, match="^the common factor d must be at least 2$"):
+        scaled_divergence(1, 2, 1)
+    with pytest.raises(InputError, match="^reduced coefficients must be coprime$"):
+        scaled_divergence(2, 4, 2)
 
 
 def test_sqrt2_convergent():
@@ -172,6 +177,11 @@ def test_parity_flip_examples():
     assert fx.predictions[1] == EPSet.residue_class(1, 3)
     fx = parity_flip_sequence([1, 1])
     assert fx.predictions[2] == EPSet.residue_class(1, 3)
+    # a string of "0" and "1" is read as its bits; any other entry is refused
+    assert parity_flip_sequence("011").bits == parity_flip_sequence([0, 1, 1]).bits == (0, 1, 1)
+    for bits in ("0a1", " 1", "01x", [0, 2], ["01"], [-1]):
+        with pytest.raises(InputError, match="^bits must be 0 or 1$"):
+            parity_flip_sequence(bits)
 
 
 def test_parity_flip_matches_exact_iteration():

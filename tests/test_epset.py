@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ def test_window_absorbed_into_tail():
 def test_empty_set_canonical():
     assert EPSet(6, 3, 5, 0, 0, 0) == EPSet.empty()
     assert EPSet.from_iterable([]) == EPSet.empty()
+    assert EPSet.from_iterable(np.array([], dtype=np.int64)) == EPSet.empty()
     assert EPSet.empty().is_empty()
 
 

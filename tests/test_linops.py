@@ -125,6 +125,8 @@ def test_composition_examples():
     assert apply_composition(OpSequence(()), a) == a
     # two applications of (3,1) on 1+3N land on the full class 1 mod 3
     assert apply_composition(OpSequence(((3, 1), (3, 1))), a) == EPSet.residue_class(1, 3)
+    # a plain tuple of pairs is taken as an OpSequence
+    assert apply_composition(((3, 1), (3, 1)), a) == EPSet.residue_class(1, 3)
 
 
 @given(epsets(max_period=6, span=10),

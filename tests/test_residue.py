@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import combinations
 
 import numpy as np
@@ -64,6 +64,10 @@ def test_gamma_mod_nonpositive_coefficients():
 
 def test_period_examples():
     assert period(ResidueSet(12, [0, 3, 6, 9])) == ResidueSet(12, [0, 3, 6, 9])
+    h = ResidueSet.subgroup(12, 4)
+    assert 8 in h and -4 in h and 6 not in h
+    with pytest.raises(InputError, match="^5 does not divide 12$"):
+        ResidueSet.subgroup(12, 5)
     assert period(U12) == ResidueSet(12, [0])
     assert period(ResidueSet(6, [0, 1])) == ResidueSet(6, [0])
     with pytest.raises(ValueError):
@@ -85,6 +89,17 @@ def test_decompose_worked_example():
     assert cert.x == (0, 3, 6)
     assert cert.subgroup() == ResidueSet(12, [0])
     assert cert.verify(U12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("translation", 1), ("a1", 8), ("b1", 6), ("v", (0, 5)), ("x", (0, 3, 7)),
+    ("subgroup_step", 6),
+    ("v", (0, 4, 16)),      # the same reconstruction, but |U| != |V| * |X| * |H|
+])
+def test_tampered_certificate_fails_verify(field, value):
+    cert = decompose_equality_case(U12, 4, 3)
+    assert cert.verify(U12)
+    assert not replace(cert, **{field: value}).verify(U12)
 
 
 def test_decompose_matches_bruteforce_search():
@@ -123,7 +138,7 @@ def test_decompose_matches_bruteforce_search():
     assert same_level == [key]
 
 
-def test_decompose_failure_reports():
+def test_decompose_failure_reports(monkeypatch):
     r = decompose_equality_case(ResidueSet(6, [0, 1, 2]), 5, 1)
     assert isinstance(r, DecompositionFailure)
     assert r.hypothesis == "cardinality not preserved"
@@ -132,6 +147,9 @@ def test_decompose_failure_reports():
     assert r.hypothesis == "contained in a proper subgroup"
     with pytest.raises(InputError, match="coefficients must be coprime"):
         decompose_equality_case(ResidueSet(4, [0, 2]), 2, 2)
+    # a certificate its own check refuses is never returned
+    monkeypatch.setattr(DecompositionCertificate, "verify", lambda self, u: False)
+    assert decompose_equality_case(U12, 4, 3) == DecompositionFailure("reconstruction mismatch")
 
 
 def test_decompose_full_group():
@@ -156,6 +174,9 @@ def test_orbit_examples():
     orb = residue_orbit(U12, 4, 3)
     assert totient(4) * totient(3) % orb.length == 0
     assert orb.order_divisibility is True
+
+    with pytest.raises(InputError, match="^coefficients must be coprime$"):
+        residue_orbit(U12, 4, 2)
 
 
 def test_orbit_singleton_cycles_are_not_misjudged():
@@ -206,6 +227,10 @@ def test_absorption_examples():
     assert not rep.applicable and rep.failed_hypothesis == "set is periodic"
     rep = nonperiodic_absorption_check(ResidueSet(6, [0]), 5, 2)
     assert rep.applicable and rep.holds
+    rep = nonperiodic_absorption_check(ResidueSet(6, [1, 2]), 5, 2)
+    assert not rep.applicable and rep.failed_hypothesis == "0 not a member"
+    with pytest.raises(InputError, match="^coefficients must be coprime$"):
+        nonperiodic_absorption_check(ResidueSet(6, [0]), 4, 2)
 
 
 def test_difference_periodicity_examples():
