@@ -6,16 +6,23 @@ and tails, ResidueSet and the numpy residue sweeps all use it.  The
 residue image U -> aU + bU mod g of one set is one kernel on such masks,
 ``_image``: the residue-decided step of ``apply_linear_op`` and the
 per-set residue functions call it.  It maps the full mask straight to the
-subgroup of multiples of gcd(a, b, g), with no spreading.
+subgroup of multiples of gcd(a, b, g), with no spreading.  A mask that
+``_bulk`` sends bit by bit is imaged in one walk of its members: the
+a-spread aU, shifted left by each b*x mod g and ORed, is one sum below
+2^(2g - 1), folded once.  A bulk mask spreads on index arrays and sums
+through ``convolve_or``.
 
 Each job has one implementation here, which every caller uses:
 ``_members`` is the one walk over a mask's set bits, ``_shift_or`` the one
-shift-or, and ``_prime_factors`` the one trial division (``_min_period``
-and ``residue.totient`` both factor through it).
+shift-or under ``convolve_or`` and ``_image``'s small-mask walk the one
+shift-or of a residue image, and ``_prime_factors`` the one trial
+division (``_min_period`` and ``residue.totient`` both factor through it).
 
-Every helper here is linear in the mask width w, but for three.
+Every helper here is linear in the mask width w, but for four.
 ``_min_period`` tests each prime factor of m that divides every mask's
-popcount, O(w log m) at worst.
+popcount, O(w log m) at worst.  ``_image``'s small-mask walk shift-ors
+at most ``_SMALL_BITS`` members, or ``_SPARSE_BITS`` of a wider mask,
+O(g) each.
 ``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
 word operations.  ``convolve_or``, the one boolean convolution under all
 Minkowski pieces: a shift-or costs O(w) per set bit of the sparser
@@ -289,10 +296,21 @@ def _image(mask: int, a: int, b: int, g: int) -> int:
     """{a*x + b*y mod g : x, y in the residue mask}, for any integers a, b.
 
     The full mask maps to the subgroup generated by a and b, the multiples
-    of gcd(a, b, g), with no spreading."""
+    of gcd(a, b, g), with no spreading; a mask that ``_bulk`` sends bit by
+    bit is imaged in one walk of its members."""
     if mask.bit_count() == g:
         return _periodic_fill(1, math.gcd(a, b, g), 0, g)
-    return _class_sum(_spread(mask, a, g), _spread(mask, b, g), g)
+    if _bulk(mask):
+        return _class_sum(_spread(mask, a, g), _spread(mask, b, g), g)
+    xs = _members(mask)
+    au = 0
+    for x in xs:
+        au |= 1 << (a * x % g)
+    out = 0
+    for x in xs:
+        out |= au << (b * x % g)
+    # both shifts are below g, so one fold takes the sum below 2^g
+    return (out >> g) | (out & ((1 << g) - 1))
 
 
 def convolve_or(m1: int, m2: int, width=None) -> int:

@@ -10,11 +10,15 @@ a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
 that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
 Three kernels compute the image aU + bU.  ``_bits._image`` images one
-Python-int mask; every per-set function here (``gamma_mod``,
-``cardinality_check``, ``decompose_equality_case``, ``residue_orbit``,
-``nonperiodic_absorption_check``) computes with it on bare masks and
-builds a ``ResidueSet`` only for what it returns.  ``cardinality_sweep``
-images many masks at once on numpy lanes for g <= 64: ``_image_table``
+Python-int mask, a small one in one walk of its members and a wide one
+with many members on numpy index arrays; every per-set function here
+(``gamma_mod``, ``cardinality_check``, ``decompose_equality_case``,
+``residue_orbit``, ``nonperiodic_absorption_check``) computes with it on
+bare masks and builds a ``ResidueSet`` only for what it returns.  Those results take the
+modulus of an existing set, so ``_residue_set`` builds them without the
+modulus checks of ``ResidueSet(...)`` and ``from_mask``.
+``cardinality_sweep`` images many masks at once for g <= 64, on numpy
+lanes of the narrowest unsigned dtype that holds g bits: ``_image_table``
 builds the images of all 2^g subsets by doubling, and ``_image_masks``
 images a given array of sampled masks.  This module has no EPSet
 conversion; ``linops.apply_linear_op`` reads an EPSet's residues and calls
@@ -74,9 +78,7 @@ class ResidueSet:
     mask: int
 
     def __init__(self, modulus, elems):
-        if modulus < 1:
-            raise InputError("modulus must be positive")
-        check_window(modulus)
+        _check_modulus(modulus)
         object.__setattr__(self, "modulus", modulus)
         if isinstance(elems, np.ndarray):       # a parsed long literal, int64
             offsets = elems % modulus
@@ -102,23 +104,19 @@ class ResidueSet:
 
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "ResidueSet":
-        if modulus < 1:
-            raise InputError("modulus must be positive")
-        check_window(modulus)
-        u = object.__new__(cls)
-        object.__setattr__(u, "modulus", modulus)
-        object.__setattr__(u, "mask", mask & ((1 << modulus) - 1))
-        return u
+        _check_modulus(modulus)
+        return _residue_set(modulus, mask & ((1 << modulus) - 1))
 
     @classmethod
     def subgroup(cls, modulus: int, d: int) -> "ResidueSet":
         """The subgroup d*G = {0, d, 2d, ...}; d must divide the modulus."""
         if modulus % d:
             raise InputError("%d does not divide %d" % (d, modulus))
-        return cls.from_mask(modulus, _periodic_fill(1, d, 0, modulus))
+        _check_modulus(modulus)
+        return _residue_set(modulus, _periodic_fill(1, d, 0, modulus))
 
     def translate(self, c: int) -> "ResidueSet":
-        return ResidueSet.from_mask(self.modulus, _rotate(self.mask, c, self.modulus))
+        return _residue_set(self.modulus, _rotate(self.mask, c, self.modulus))
 
     def to_expr(self) -> str:
         return "mod %d {%s}" % (self.modulus, _decimals(_members(self.mask)))
@@ -127,10 +125,28 @@ class ResidueSet:
         return self.to_expr()
 
 
+def _check_modulus(modulus: int) -> None:
+    """Refuse a modulus below 1 or past ``window_cap()``."""
+    if modulus < 1:
+        raise InputError("modulus must be positive")
+    check_window(modulus)
+
+
+def _residue_set(modulus: int, mask: int) -> ResidueSet:
+    """The set of a modulus already checked and a mask below 2^modulus, with
+    no check: the results built from an existing set's modulus.  A frozen
+    dataclass keeps its fields in the instance dict."""
+    u = object.__new__(ResidueSet)
+    attrs = u.__dict__
+    attrs["modulus"] = modulus
+    attrs["mask"] = mask
+    return u
+
+
 def gamma_mod(u: ResidueSet, a: int, b: int) -> ResidueSet:
     """{a*x + b*y mod g : x, y in U}, for any integers a, b (b < 0 gives
     aU - |b|U)."""
-    return ResidueSet.from_mask(u.modulus, _image(u.mask, a, b, u.modulus))
+    return _residue_set(u.modulus, _image(u.mask, a, b, u.modulus))
 
 
 def period_shift(u: ResidueSet) -> int:
@@ -174,8 +190,8 @@ class DecompositionCertificate:
         step = self.subgroup_step
         vx = _class_sum(_from_offsets([v % step for v in self.v], step),
                         _from_offsets([x % step for x in self.x], step), step)
-        return ResidueSet.from_mask(self.modulus,
-                                    _periodic_fill(vx, step, -self.translation, self.modulus))
+        return _residue_set(self.modulus,
+                            _periodic_fill(vx, step, -self.translation, self.modulus))
 
     def verify(self, u: ResidueSet) -> bool:
         g = self.modulus
@@ -291,7 +307,7 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
             if image.bit_count() == m.bit_count():
                 divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
                 break
-    states = [ResidueSet.from_mask(g, m) for m in masks]
+    states = [_residue_set(g, m) for m in masks]
     return ResidueOrbit(states, onset, length, preserved, divisibility)
 
 
@@ -320,18 +336,19 @@ def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionRep
 
 # ---------------------------------------------------------------------------
 # Vectorized sweeps over subsets of Z/gZ.  Subsets are masks of dtype
-# uint32 for g <= 32 and uint64 up to g = 64; a rotation by s is
-# ((v << s) | (v >> (g - s))) & full, so bits shifted past the dtype are
-# always bits the mask drops.  An exhaustive sweep builds the image table
-# of all 2^g subsets by doubling: for U < 2^k,
+# uint16 for g <= 16, uint32 up to g = 32 and uint64 up to g = 64; a
+# rotation by s is ((v << s) | (v >> (g - s))) & full, so bits shifted past
+# the dtype are always bits the mask drops.  An exhaustive sweep builds the
+# image table of all 2^g subsets by doubling: for U < 2^k,
 #     a(U+{k}) + b(U+{k}) = (aU + bU) | (ak + bU) | (aU + bk) | {(a+b)k},
-# where (ak + bU) | {(a+b)k} = ak + b(U+{k}), so each block [2^k, 2^(k+1))
-# takes about 12 elementwise passes over the block [0, 2^k) below it, and
-# the table about 12 * 2^g operations in all.  Sampled masks share no such
-# structure and take 3g elementwise passes each (``_image_masks``).
+# so each block [2^k, 2^(k+1)) takes about 12 elementwise passes over the
+# block [0, 2^k) below it, and the table about 12 * 2^g operations in all.
+# Sampled masks share no such structure and take 3g elementwise passes each
+# (``_image_masks``).
 
 def _mask_dtype(g: int):
-    return np.uint32 if g <= 32 else np.uint64
+    # the narrowest lane that holds g bits: fewer bytes per elementwise pass
+    return np.uint16 if g <= 16 else np.uint32 if g <= 32 else np.uint64
 
 
 def _image_masks(masks: np.ndarray, g: int, a: int, b: int) -> np.ndarray:
@@ -360,18 +377,19 @@ def _image_masks(masks: np.ndarray, g: int, a: int, b: int) -> np.ndarray:
 def _image_table(g: int, a: int, b: int) -> np.ndarray:
     """images[U] = aU + bU mod g for every mask U < 2^g, by doubling."""
     dt = _mask_dtype(g)
-    au, bu, out = (np.zeros(1 << g, dtype=dt) for _ in range(3))
+    out = np.zeros(1 << g, dtype=dt)
+    # the last block reads aU and bU below it, so they are kept for U < 2^(g-1)
+    au, bu = (np.zeros(1 << (g - 1), dtype=dt) for _ in range(2))
     tmp = np.empty(1 << (g - 1), dtype=dt)
     full = dt((1 << g) - 1)
     for k in range(g):
         h = 1 << k
         sa, sb = a * k % g, b * k % g
         lo, hi, t = slice(0, h), slice(h, 2 * h), tmp[:h]
-        np.bitwise_or(au[lo], dt(1 << sa), out=au[hi])
-        np.bitwise_or(bu[lo], dt(1 << sb), out=bu[hi])
-        # images of the block: rot(b(U+{k}), ak) | rot(aU, bk) | (aU + bU)
+        # images of the block: (aU + bU) | {(a+b)k} | rot(bU, ak) | rot(aU, bk)
         o = out[hi]
-        for v, s in ((bu[hi], sa), (au[lo], sb)):
+        np.bitwise_or(out[lo], dt(1 << (sa + sb) % g), out=o)
+        for v, s in ((bu[lo], sa), (au[lo], sb)):
             if s == 0:
                 o |= v
                 continue
@@ -380,7 +398,9 @@ def _image_table(g: int, a: int, b: int) -> np.ndarray:
             np.right_shift(v, dt(g - s), out=t)
             o |= t
         o &= full
-        o |= out[lo]
+        if k < g - 1:
+            np.bitwise_or(au[lo], dt(1 << sa), out=au[hi])
+            np.bitwise_or(bu[lo], dt(1 << sb), out=bu[hi])
     return out
 
 
@@ -390,11 +410,11 @@ def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
     With ``masks=None`` sweeps all 2^g subsets through the doubling image
     table, refusing with ``ResourceLimitExceeded`` before any allocation
     when 2^g exceeds ``window_cap()``.  Otherwise ``masks`` is an integer
-    array of subsets in [0, 2^g), imaged mask by mask.  Masks are uint32
-    for g <= 32 and uint64 up to g = 64; g outside 1..64 and masks outside
-    [0, 2^g) raise ``InputError``.  Returns (all_hold, equality_masks):
-    equality_masks lists the subsets (as ints) where |aU + bU| == |U|
-    with U nonempty.
+    array of subsets in [0, 2^g), imaged mask by mask.  Masks are uint16
+    for g <= 16, uint32 up to g = 32 and uint64 up to g = 64; g outside
+    1..64 and masks outside [0, 2^g) raise ``InputError``.  Returns
+    (all_hold, equality_masks): equality_masks lists the subsets (as ints)
+    where |aU + bU| == |U| with U nonempty.
     """
     if not 1 <= g <= 64:
         raise InputError("sweep modulus must be in 1..64, got %d" % g)
@@ -402,16 +422,17 @@ def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
         if (1 << g) > window_cap():
             raise ResourceLimitExceeded("sweep over 2^%d subsets exceeds the cap %d"
                                         % (g, window_cap()))
-        images = _image_table(g, a, b)
-        masks = np.arange(1 << g, dtype=images.dtype)
+        # only the images' popcounts are kept: the table is freed before the
+        # masks are built
+        pc_im = np.bitwise_count(_image_table(g, a, b))
+        masks = np.arange(1 << g, dtype=_mask_dtype(g))
     else:
         if masks.dtype.kind not in "iu":
             raise InputError("masks must be an integer array")
         if masks.size and (int(masks.min()) < 0 or int(masks.max()) >> g):
             raise InputError("masks must lie in [0, 2^%d)" % g)
         masks = masks.astype(_mask_dtype(g))
-        images = _image_masks(masks, g, a, b)
+        pc_im = np.bitwise_count(_image_masks(masks, g, a, b))
     pc_u = np.bitwise_count(masks)
-    pc_im = np.bitwise_count(images)
     eq = masks[(pc_im == pc_u) & (pc_u > 0)]
     return bool(np.all(pc_im >= pc_u)), eq.tolist()

@@ -267,6 +267,14 @@ def spread(mask, n, m):
     return out
 
 
+# -- the residue image ---------------------------------------------------------
+# {a*x + b*y mod g} over pairs of members, for the kernel ``_bits._image``.
+
+def image(mask, a, b, g):
+    xs = [x for x in range(mask.bit_length()) if mask >> x & 1]
+    return sum(1 << r for r in {(a * x + b * y) % g for x in xs for y in xs})
+
+
 # -- the canonical form that EPSet's loop-free trim replaced -------------------
 # The constructor body as it stood when it walked the period bit by bit to
 # find where the tail rules split, kept as the reference for ``_key()``.
@@ -377,11 +385,13 @@ def residue_orbit(u, a, b, max_steps=None):
         len(gamma_mod(cycle[0], a, b)) == len(cycle[0])
     divisibility = None
     g = u.modulus
-    for s in cycle:
+    # the divisibility check is defined when neither coefficient is 0, on
+    # phi(|a|) * phi(|b|)
+    for s in cycle if a and b else ():
         if not (s.mask & 1) or math.gcd(g, *s) != 1:
             continue
         if len(gamma_mod(s, a, b)) == len(s):
-            divisibility = (totient(a) * totient(b)) % length == 0
+            divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
             break
     return ResidueOrbit(states, onset, length, preserved, divisibility)
 

@@ -376,6 +376,43 @@ def test_image_at_the_default_cap():
     assert 0 < sum(hits) < len(rs)
 
 
+COEFFICIENTS = range(-3, 4)
+
+
+@pytest.mark.parametrize("g", range(1, 10))
+def test_image_matches_oracle_on_every_small_mask(g):
+    # every mask mod g and every (a, b) in -3..3: zero, negative and
+    # non-coprime pairs, and the full mask's subgroup
+    for mask in range(1 << g):
+        for a in COEFFICIENTS:
+            for b in COEFFICIENTS:
+                assert _image(mask, a, b, g) == oracle.image(mask, a, b, g), (mask, a, b)
+
+
+def test_image_walk_matches_numpy_route(monkeypatch):
+    # masks 256 and 257 bits wide with 32 and 33 members, on both sides of
+    # _bulk's switch, and one-residue masks mod the prime 20023, against the
+    # same images with every mask sent through index arrays and convolve_or
+    rng = random.Random(29)
+    cases = [(with_popcount(rng, width - 1, k - 1) | (1 << (width - 1)), g)
+             for width in (_SMALL_BITS, _SMALL_BITS + 1)
+             for k in (_SPARSE_BITS, _SPARSE_BITS + 1)
+             for g in (_SMALL_BITS + 1, 1000)]
+    p = 20023
+    singles = [(1 << r, p) for r in (0, 1, 7, p // 2, p - 1)]
+    pairs = [(a, b) for a in COEFFICIENTS for b in COEFFICIENTS] + [(p + 2, 5), (-2 * p, p - 1)]
+    walked = {(m, g, a, b): _image(m, a, b, g) for m, g in cases + singles for a, b in pairs}
+    for m, g in cases:
+        for a, b in pairs:
+            assert walked[m, g, a, b] == oracle.image(m, a, b, g)
+    for m, g in singles:
+        for a, b in pairs:
+            assert walked[m, g, a, b] == 1 << ((a + b) * (m.bit_length() - 1) % g)
+    monkeypatch.setattr(bits_module, "_bulk", lambda mask: True)
+    for (m, g, a, b), image in walked.items():
+        assert _image(m, a, b, g) == image, (m, g, a, b)
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 60, 3000])
 def test_class_sum_matches_sets(d):
     rng = random.Random(d)

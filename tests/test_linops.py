@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import epsets
-from linset import epset, linops
+from linset import epset, linops, residue
 from linset.cli import parse_set_expression, random_ops
 from linset.epset import EPSet, WindowCapExceeded, set_window_cap, window_cap
 from linset.linops import (
@@ -327,6 +327,7 @@ def test_periodic_input_never_reaches_minkowski(monkeypatch):
     # the periodic step is one residue image on bare masks
     monkeypatch.setattr(ResidueSet, "__init__", refuse)
     monkeypatch.setattr(ResidueSet, "from_mask", classmethod(refuse))
+    monkeypatch.setattr(residue, "_residue_set", refuse)
     for s in (EPSet.residue_class(1, 7), _periodic(12, 0b100100010011),
               EPSet.integers(), _periodic(300, (1 << 299) | 5)):
         for a, b in ((3, 1), (2, 5), (6, 4)):

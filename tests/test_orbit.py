@@ -263,14 +263,15 @@ def test_iterate_trace_window_cap_keeps_partial_iterates():
 
 # -- residue_orbit -------------------------------------------------------------
 
-COPRIME = [(a, b) for a in range(1, 7) for b in range(1, 7) if math.gcd(a, b) == 1]
+# zero and negative coefficients too: the one-walk image takes any integers
+RESIDUE_PAIRS = [(a, b) for a in range(-3, 7) for b in range(-3, 7) if math.gcd(a, b) == 1]
 
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_residue_orbit_matches_replaced_loop(g):
     for mask in range(1 << g):
         u = ResidueSet.from_mask(g, mask)
-        for a, b in COPRIME:
+        for a, b in RESIDUE_PAIRS:
             for max_steps in (None, 1, 2, 5):
                 assert outcome(residue_orbit, u, a, b, max_steps) == \
                     outcome(oracle.residue_orbit, u, a, b, max_steps)

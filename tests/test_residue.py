@@ -368,10 +368,10 @@ def _pairs_for(g):
 def test_image_table_matches_image_masks():
     # coprime or not, and coefficients at or past the modulus
     for g in range(1, 15):
-        masks = np.arange(1 << g, dtype=np.uint32)
+        masks = np.arange(1 << g, dtype=np.uint16)
         for a, b in _pairs_for(g):
             got = residue._image_table(g, a, b)
-            assert got.dtype == np.uint32
+            assert got.dtype == np.uint16
             assert np.array_equal(got, residue._image_masks(masks, g, a, b)), (g, a, b)
 
 
@@ -418,9 +418,10 @@ def test_sweep_golden_digests(g, a, b):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[g, a, b]
 
 
-@pytest.mark.parametrize("g", [31, 32, 33, 64])
+@pytest.mark.parametrize("g", [16, 17, 31, 32, 33, 64])
 def test_sweep_masks_across_dtype_boundary(g):
-    # uint32 up to g = 32, uint64 above: top bits must survive the rotations
+    # uint16 up to g = 16, uint32 up to 32, uint64 above: top bits must
+    # survive the rotations
     rng = random.Random(g)
     top = (1 << g) - 1
     samples = [top, 1 << (g - 1), 1, 3 << (g - 2), top ^ 1] + \
@@ -458,8 +459,9 @@ def test_sweep_input_contract():
 
 
 @pytest.mark.parametrize("make", [lambda g: ResidueSet(g, [g - 1]),
-                                  lambda g: ResidueSet.from_mask(g, 1)],
-                         ids=["init", "from_mask"])
+                                  lambda g: ResidueSet.from_mask(g, 1),
+                                  lambda g: ResidueSet.subgroup(g, 1)],
+                         ids=["init", "from_mask", "subgroup"])
 def test_modulus_past_the_cap_refused_before_its_mask(make):
     with allocates_below(1 << 20):
         with pytest.raises(WindowCapExceeded):
