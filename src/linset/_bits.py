@@ -18,13 +18,14 @@ shift-or under ``convolve_or`` and ``_image``'s small-mask walk the one
 shift-or of a residue image, and ``_prime_factors`` the one trial
 division (``_min_period`` and ``residue.totient`` both factor through it).
 
-Every helper here is linear in the mask width w, but for four.
+Every helper here is linear in the mask width w, but for five.
 ``_min_period`` tests each prime factor of m that divides every mask's
 popcount, O(w log m) at worst.  ``_image``'s small-mask walk shift-ors
 at most ``_SMALL_BITS`` members, or ``_SPARSE_BITS`` of a wider mask,
 O(g) each.
 ``_first_of_class`` doubles a shift up to the width, O(w/64 * log(w/m))
-word operations.  ``convolve_or``, the one boolean convolution under all
+word operations, and ``_lattice_stride`` builds at most log2 g + 1 such
+doubled fills.  ``convolve_or``, the one boolean convolution under all
 Minkowski pieces: a shift-or costs O(w) per set bit of the sparser
 operand, and its FFT path O(n log n) for one transform of n >= w/g
 points, g the stride of the operands' common lattice.
@@ -37,7 +38,7 @@ So the piece convolves ``_first_of_class(W', m)``, the least member of
 each class, at most m bits, and its shift-or takes at most m steps
 however wide the window is.
 
-Index arrays.  Window text, finite sets and residue dilations go through
+Index arrays.  Finite sets and residue dilations that wrap go through
 one numpy index array, not a Python step per element: ``_members`` lists
 a mask's members plus a base, ``_from_offsets`` builds a mask from
 members minus a base, and ``_spread`` maps each member i of a mask to
@@ -49,11 +50,21 @@ values stay below 2^62, and in Python ints (object dtype) otherwise;
 ``_int_dtype`` makes that choice for them and for the bulk arithmetic of
 ``constructions``.
 
+One C-level pass per window.  A dilation by n >= 1 in which no bit wraps
+past m, which is every window that ``epset._dilated`` spreads, needs no
+index array: the mask's unpacked bits are one strided store ``flags[::n]``
+into a zero array, packed once.  ``_reverse`` reverses a mask of more than
+three bits through its bytes: each byte is reversed by one 256-entry table
+(``bytes.translate``), the bytes are read back in the opposite order, and
+the 8*ceil(w/8) - w pad bits that this leaves at the bottom are shifted
+out.  Window text is one bytes formatting call (``epset._decimals``).
+
 Exactness of ``convolve_or``.  It shift-ors the sparser operand bit by bit
 (``_shift_or``), stopping early once every output bit is set.  When that
 operand has more set bits than ``_fft_cutoff(width)``, the product is one
 transform instead: each operand is shifted down by its lowest set bit
-and divided by g, the gcd of the offsets of all set bits of both, and the
+and divided by g, the gcd of the offsets of all set bits of both (found
+exactly by ``_lattice_stride``, without listing the offsets), and the
 two reduced 0/1 arrays are multiplied as polynomials in float64 by one
 numpy ``rfft``/``rfft``/``irfft`` of the least 5-smooth length n >=
 their product's length.  Each coefficient c is an integer count, and the
@@ -79,6 +90,8 @@ _SMALL_BITS = 256        # masks up to this width are walked bit by bit,
 _SPARSE_BITS = 32        # ... and wider ones with at most this many set bits
 _FFT_MIN_BITS = 256      # convolve_or shift-ors sparser operands of this many bits or fewer
 _EXACT = 1 << 62         # int64 index arithmetic stays below this magnitude
+# byte i maps to byte i with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 
 
 def _int_dtype(reach: int):
@@ -160,9 +173,12 @@ def _rotate(mask: int, shift: int, width: int) -> int:
 
 
 def _reverse(mask: int, width: int) -> int:
-    # plain bit reversal over a fixed width; a few bits are moved one by one
+    # plain bit reversal of a mask below 2^width, by byte table (see the
+    # module docstring); a few bits are moved one by one
     if mask.bit_count() > 3:
-        return int(format(mask, "0%db" % width)[::-1], 2)
+        n = (width + 7) >> 3
+        flipped = mask.to_bytes(n, "little").translate(_REVERSED_BYTES)
+        return int.from_bytes(flipped, "big") >> (8 * n - width)
     out = 0
     while mask:
         low = mask & -mask
@@ -178,13 +194,18 @@ def _reflect(mask: int, width: int) -> int:
 
 def _spread(mask: int, n: int, m: int) -> int:
     # bit i of the input becomes bit (n * i) mod m, for any n (zero and
-    # negative ones included): a wide mask with many set bits maps its one
-    # index array, a narrow or sparse one is walked bit by bit from the top
-    # (one operation fewer per bit than isolating the lowest)
+    # negative ones included).  A wide mask with many set bits is one strided
+    # store of its bits when n >= 1 and no bit wraps past m, else it maps its
+    # one index array; a narrow or sparse one is walked bit by bit from the
+    # top (one operation fewer per bit than isolating the lowest)
     width = mask.bit_length()
     if n == 1 and width <= m:
         return mask
     if _bulk(mask):
+        if 0 < n and (width - 1) * n < m:
+            flags = np.zeros((width - 1) * n + 1, np.uint8)
+            flags[::n] = _unpack(mask, width)
+            return _pack(flags)
         idx = np.flatnonzero(_unpack(mask, width)).astype(_int_dtype(width * m), copy=False)
         return _from_offsets(idx * (n % m) % m, m)
     out = 0
@@ -381,6 +402,29 @@ def _smooth_len(n: int) -> int:
     return best
 
 
+def _lattice_stride(a: int, b: int) -> int:
+    """The gcd g of the offsets of every set bit of a and b, both with bit 0
+    set (1 when neither has another bit).
+
+    g starts at the gcd of the two first gaps, the offsets of each operand's
+    second set bit, and every offset is a multiple of the true stride, so g
+    never drops below it.  While some set bit lies off the multiples of g,
+    g takes the gcd with the lowest such offset; each step at least halves
+    g, so at most log2 g steps of O(w) word operations find it exactly."""
+    g = 0
+    for x in (a, b):
+        rest = x ^ 1
+        g = math.gcd(g, (rest & -rest).bit_length() - 1 if rest else 0)
+    if g <= 1:
+        return 1
+    both = a | b
+    while True:
+        off = both & ~_periodic_fill(1, g, 0, both.bit_length())
+        if not off:
+            return g
+        g = math.gcd(g, (off & -off).bit_length() - 1)
+
+
 def _fft_or(a: int, b: int, width: int) -> int:
     """Bits below width of the boolean convolution of a and b (both nonzero),
     by one float64 FFT product on their common lattice under the rounding
@@ -397,9 +441,8 @@ def _fft_or(a: int, b: int, width: int) -> int:
         return 0
     low = (1 << span) - 1
     a, b = (a >> sa) & low, (b >> sb) & low
-    xa, xb = _unpack(a, a.bit_length()), _unpack(b, b.bit_length())
-    g = int(np.gcd(np.gcd.reduce(np.flatnonzero(xa)), np.gcd.reduce(np.flatnonzero(xb)))) or 1
-    xa, xb = xa[::g], xb[::g]
+    g = _lattice_stride(a, b)
+    xa, xb = _unpack(a, a.bit_length())[::g], _unpack(b, b.bit_length())[::g]
     size = min(xa.size + xb.size - 1, -(-span // g))   # reduced positions kept
     n = _smooth_len(xa.size + xb.size - 1)
     # each array is freed once used, and the spectrum product is formed in place

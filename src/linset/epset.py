@@ -396,9 +396,9 @@ def max_consecutive_gap(sorted_elems) -> int:
 
 
 def _decimals(xs) -> str:
-    """The ints xs in decimal, comma-separated: one formatting call, with
-    no str object made per element."""
-    return ("%d," * len(xs) % tuple(xs))[:-1]
+    """The ints xs in decimal, comma-separated: one bytes formatting call,
+    with no str object made per element, and one ASCII decode."""
+    return (b"%d," * len(xs) % tuple(xs))[:-1].decode()
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,10 @@ class ResidueSet:
 
     @classmethod
     def subgroup(cls, modulus: int, d: int) -> "ResidueSet":
-        """The subgroup d*G = {0, d, 2d, ...}; d must divide the modulus."""
+        """The subgroup d*G = {0, d, 2d, ...}; d must be a positive divisor
+        of the modulus."""
+        if d < 1:
+            raise InputError("subgroup step must be positive")
         if modulus % d:
             raise InputError("%d does not divide %d" % (d, modulus))
         _check_modulus(modulus)

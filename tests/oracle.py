@@ -79,6 +79,17 @@ def sum_bitmap(s, t, radius):
     return _convolve(bitmap(s, -p, p), -p, bitmap(t, -p, p), -p, radius)
 
 
+def difference_bitmap(s, t, radius):
+    """Bitmap of {x - y : x in s, y in t} over [-radius, radius]: t's
+    bitmap over [-p, p] is read backwards, so bit i stands for -(p - i)."""
+    p = _pad(s, t, radius)
+    neg = 0
+    for i, y in enumerate(range(p, -p - 1, -1)):
+        if member(t, y):
+            neg |= 1 << i
+    return _convolve(bitmap(s, -p, p), -p, neg, -p, radius)
+
+
 def gamma_bitmap(s, a, b, radius):
     """Bitmap of {a*x - b*y : x, y in s} over [-radius, radius].
 

@@ -1,6 +1,7 @@
 """Tests for the int-bitmask kernels: convolve_or against a plain shift-or,
 and the linear helpers against bit-by-bit loops."""
 
+import math
 import random
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 import oracle
 from linset import _bits as bits_module
 from linset._bits import (_SMALL_BITS, _SPARSE_BITS, _class_sum, _fft_cutoff, _fft_or,
-                          _from_offsets, _image, _members, _min_period, _periodic_fill,
-                          _prime_factors, _reflect, _reverse, _smooth_len, _spread, convolve_or)
+                          _from_offsets, _image, _lattice_stride, _members, _min_period,
+                          _periodic_fill, _prime_factors, _reflect, _reverse, _smooth_len,
+                          _spread, convolve_or)
+from linset.epset import _decimals
 
 
 def ref_bits(mask):
@@ -288,6 +291,52 @@ def test_convolve_window_spread(a, b, stride, seed):
         == ref_convolve(amask, bmask)
 
 
+def ref_lattice_stride(*masks):
+    # the gcd of every set bit's offset, walked bit by bit; 0 when no set
+    # bit lies above bit 0
+    g = 0
+    for m in masks:
+        for i in ref_bits(m):
+            g = math.gcd(g, i)
+    return g
+
+
+@pytest.mark.parametrize("offsets1, offsets2, stride", [
+    ({0, 4, 6}, {0, 6, 9}, 1),                   # first gaps 4 and 6 say 2; 9 is odd
+    ({0, 12, 30, 45}, {0, 24}, 3),               # 12, then 30 refines to 6, then 45 to 3
+    ({0, 8, 12}, {0, 16, 20}, 4),                # one refinement: 12 to 4
+    ({0, 10, 20}, {0, 15}, 5),
+    ({0}, {0, 6, 9}, 3),                         # a one-bit operand sets no gap
+    ({0}, {0}, 1),                               # both one-bit
+])
+def test_lattice_refinement_on_misleading_first_gaps(offsets1, offsets2, stride):
+    # the operands' first gaps overstate their common stride, and the bits
+    # that refine it lie high; padded past the FFT cutoff with bits on the
+    # true lattice, and checked as they are and with their bits swapped
+    rng = random.Random(stride)
+    top = 1300 * stride
+    pad = {stride * i for i in range(700, 1300) if rng.random() < 0.8}
+    for extra in (set(), pad):
+        a = _from_offsets(sorted(offsets1 | (extra if len(offsets1) > 1 else set())), top)
+        b = _from_offsets(sorted(offsets2 | extra), top)
+        assert _lattice_stride(a, b) == _lattice_stride(b, a) == stride
+        assert (ref_lattice_stride(a, b) or 1) == stride
+        natural = a.bit_length() + b.bit_length() - 1
+        for width in (natural, natural - stride, natural // 2 + 1):
+            assert _fft_or(a, b, width) == ref_convolve(a, b, width)
+            check(a, b, width)
+
+
+def test_lattice_stride_matches_gcd_of_offsets():
+    # random operands on a random lattice, with bit 0 set as _fft_or sets it
+    rng = random.Random(30)
+    for _ in range(300):
+        g = rng.choice((1, 2, 3, 4, 6, 12, 35, 64))
+        ops = [1 | _from_offsets([g * rng.randrange(1, 200) for _ in range(rng.randint(0, 5))],
+                                 g * 200) for _ in range(2)]
+        assert _lattice_stride(*ops) == (ref_lattice_stride(*ops) or 1)
+
+
 def test_convolve_scale_non_saturating():
     # two 2^20-bit masks on even positions only: no sum is ever odd, so no
     # part of the product saturates, and both operands pass the cutoff
@@ -316,6 +365,73 @@ def test_linear_helpers_match_loops(width):
         assert _reflect(m, width) == sum(1 << (-i % width) for i in bits)
         for n in (1, 2, 5):
             assert _spread(m, n, n * width) == sum(1 << (n * i) for i in bits)
+
+
+def loop_reverse(mask, width):
+    return sum(1 << (width - 1 - i) for i in ref_bits(mask))
+
+
+REVERSE_WIDTHS = sorted(set(range(71)) | {(1 << k) + d for k in range(3, 14) for d in (-1, 1)})
+
+
+@pytest.mark.parametrize("width", REVERSE_WIDTHS)
+def test_reverse_matches_bit_loop(width):
+    # every width 0-70 and 2^k +- 1: masks of 0-3 bits (the bit walk) and of
+    # 4 bits up to all ones (the byte table), the top bit set or clear
+    rng = random.Random(width)
+    masks = {0, (1 << width) - 1}
+    for k in range(1, 8):
+        if k <= width:
+            masks.add(with_popcount(rng, width, k))
+    for density in (0.3, 0.7):
+        masks.add(rng.getrandbits(width) if width else 0)
+        masks.add(sum(1 << i for i in range(width) if rng.random() < density))
+    if width:
+        masks.add(1 << (width - 1) | 1)
+    for m in masks:
+        got = _reverse(m, width)
+        assert got == loop_reverse(m, width), (m, width)
+        assert _reverse(got, width) == m
+        if width:
+            assert _reflect(m, width) == sum(1 << (-i % width) for i in ref_bits(m))
+
+
+SPREAD_WIDTHS = [_SMALL_BITS + 1 + r for r in range(8)] + [1000 + r for r in range(8)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_spread_strided_store_matches_oracle(n, monkeypatch):
+    # bulk masks whose widths cover every residue mod 8, on moduli where the
+    # top bit lands on m - 1 (the tightest fit), lies far below m, or just
+    # wraps; the index path, seen as its one _from_offsets call, is taken
+    # exactly when a bit wraps
+    indexed = []
+
+    def counted_from_offsets(*args):
+        indexed.append(1)
+        return from_offsets(*args)
+    from_offsets = bits_module._from_offsets
+    monkeypatch.setattr(bits_module, "_from_offsets", counted_from_offsets)
+    rng = random.Random(n)
+    for width in SPREAD_WIDTHS:
+        for m in (random_mask(rng, width, 0.5), random_mask(rng, width, 1.0),
+                  _periodic_fill(1, 3, 0, width - 1) | 1 << (width - 1)):
+            tight = (width - 1) * n + 1
+            for mod in (tight, tight + 1, n * width, 3 * n * width + 5, tight - 1):
+                indexed.clear()
+                assert _spread(m, n, mod) == oracle.spread(m, n, mod), (width, n, mod)
+                wraps = mod < tight
+                assert len(indexed) == (wraps and not (n == 1 and width <= mod))
+    assert _spread(0, 3, 7) == 0
+
+
+def test_decimals_formats_ints():
+    # empty, one element, negative values, and ints past 2^63 and 2^64
+    big = [2 ** 63, -(2 ** 63) - 1, 2 ** 64 + 7, -(10 ** 30)]
+    for xs in ([], [0], [7], [-5], [-3, 0, 12, -100], big, list(range(-300, 300, 7)) + big):
+        assert _decimals(xs) == ",".join(map(str, xs))
+    assert _decimals([]) == "" and type(_decimals([])) is str
+    assert _decimals((1, 2)) == "1,2"
 
 
 def from_set(residues, m):

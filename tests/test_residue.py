@@ -68,6 +68,10 @@ def test_period_examples():
     assert 8 in h and -4 in h and 6 not in h
     with pytest.raises(InputError, match="^5 does not divide 12$"):
         ResidueSet.subgroup(12, 5)
+    # a zero or negative step is refused as input, not by the arithmetic
+    for d in (0, -3, -12):
+        with pytest.raises(InputError, match="^subgroup step must be positive$"):
+            ResidueSet.subgroup(12, d)
     assert period(U12) == ResidueSet(12, [0])
     assert period(ResidueSet(6, [0, 1])) == ResidueSet(6, [0])
     with pytest.raises(ValueError):

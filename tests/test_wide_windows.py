@@ -16,6 +16,7 @@ from linset.cli import parse_set_expression
 from linset.constructions import (TruncatedSet, bohr_truncation, finite_gamma,
                                   sqrt2_minus_one)
 from linset.epset import EPSet, InputError, _negated, _sum_window_up
+from linset.linops import LinearOp, apply_linear_op
 from linset.residue import ResidueSet
 
 
@@ -87,6 +88,48 @@ def test_wide_minkowski_matches_oracle(s, t):
         for x, y in ((a, b), (b, a)):
             if x[3] and y[5]:
                 assert _sum_window_up(x, y) == oracle.sum_window_up(x, y)
+
+
+# -- aS - bS and S - T on dense windows, end to end ----------------------------
+
+def dense_window_set(width, stride, lo, tails, seed):
+    """A window ``width`` bits wide from ``lo``, on a progression of
+    ``stride`` with a few holes (so every kernel takes its bulk path), and
+    with ``tails`` an upward and a downward tail of period 6.  Neither tail
+    holds the class of the window's end next to it, so the canonical window
+    keeps its width."""
+    rng = random.Random(seed)
+    window = _periodic_fill(1, stride, 0, width)
+    for hole in rng.sample(range(0, width - 1, stride), 5):
+        window &= ~(1 << hole)
+    window |= 1 | 1 << (width - 1)
+    hi = lo + width - 1
+    neg = 1 << (lo - 1) % 6 | 1 << (lo - 2) % 6 if tails else 0
+    pos = 1 << (hi + 1) % 6 | 1 << (hi + 3) % 6 if tails else 0
+    return EPSet(6, lo, hi, window, neg, pos)
+
+
+# widths 300-700 that cover every residue mod 8, each with a stride 1-4 and
+# a lo from -1 to -400; the stride-1 windows and the differences of the
+# 699-wide one on stride 2 pass the FFT cutoff, the latter on a lattice of 2
+WIDE_CASES = [(300 + 57 * r, 1 + (r + 2) % 4, -1 - 57 * r) for r in range(8)]
+
+
+@pytest.mark.parametrize("tails", [False, True])
+@pytest.mark.parametrize("width, stride, lo", WIDE_CASES)
+def test_dense_windows_match_oracle(width, stride, lo, tails):
+    s = dense_window_set(width, stride, lo, tails, width)
+    assert (s.lo, s.hi) == (lo, lo + width - 1)
+    radius = 4 * (width - lo) + 40
+    for a, b in ((2, 1), (3, 1), (3, 2), (4, 3)):
+        r = apply_linear_op(LinearOp(a, b), s)
+        assert oracle.agrees(r, oracle.gamma_bitmap(s, a, b, radius), radius), (a, b)
+        assert parse_set_expression(r.to_expr()) == r
+    t = dense_window_set(width - 37, 4 - stride % 4, lo // 2, not tails, width + 1)
+    for x, y in ((s, t), (t, s), (s, s)):
+        r = x - y
+        assert oracle.agrees(r, oracle.difference_bitmap(x, y, radius), radius)
+        assert parse_set_expression(r.to_expr()) == r
 
 
 # -- index arrays at the int64 boundary ----------------------------------------
