@@ -1,6 +1,6 @@
 """Kernel and command timings of linset, for the ``BENCH_<pr>.json`` record.
 
-    python bench/kernels.py [--src PATH] [--repeats N] [--rounds R] [--quick] [--out FILE]
+    python bench/kernels.py [--src PATH] [--quick] > BENCH_<pr>.json
 
 Times, on fixed inputs, the wide-window kernels ``_bits._reverse`` (a 6,000-bit
 window), ``_bits._spread`` (that window dilated by 3), ``convolve_or`` on its
@@ -10,15 +10,17 @@ dense-window ``iterate --ops "(3,1)"`` and ``dplus`` commands, in process
 through ``linset.cli.run``.
 
 Every entry runs in a fresh interpreter of its own, with linset imported from
-the ``src/`` of the tree it times, so each records its own ``ru_maxrss``.
-With ``--src PATH`` the checkout at PATH is timed as well, and each round
+the ``src/`` of the tree it times (the child refuses to run if another copy
+of linset shadows it), so each records its own ``ru_maxrss``.  With ``--src
+PATH`` the checkout at PATH is timed as well, and each of ROUNDS rounds
 alternates which tree runs an entry first, since a fixed order biases the
 comparison.  For each tree and entry the record holds the median and IQR
-of the per-call seconds, the number of samples n, the sha256 of the entry's
-output, whether it equals the digest recorded below, and the largest
-``ru_maxrss``.  The record also holds each tree's git HEAD, ``nproc`` and the
+of the per-call seconds over SAMPLES samples a round, the number of samples
+n, the sha256 of the entry's output, whether it equals the digest recorded
+below, and the largest ``ru_maxrss``.  The record also holds each tree's git
+HEAD and the path of the linset package it imported, ``nproc`` and the
 Python and numpy versions.  ``--quick`` takes one sample per entry in one
-round, for a smoke test.
+round, for a smoke test.  The record goes to stdout.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIDTH = 6000
+SAMPLES = 15    # samples per entry, tree and round
+ROUNDS = 2      # rounds, each alternating which tree runs first
 
 # name -> calls per sample; each sample times that many calls and records
 # the mean, so that microsecond kernels stay above the clock's resolution
@@ -111,7 +115,13 @@ def _entry(name: str):
 
 def child(name: str, samples: int) -> dict:
     """Time one entry in this interpreter: one untimed call, then
-    ``samples`` samples of ENTRIES[name] calls each."""
+    ``samples`` samples of ENTRIES[name] calls each.  Refuses to run when
+    the linset it imports is not the one under this tree's ``src/``."""
+    import linset
+    package = os.path.dirname(os.path.realpath(linset.__file__))
+    src = os.path.join(os.path.realpath(os.getcwd()), "src")
+    if os.path.dirname(package) != src:
+        raise SystemExit("linset imported from %s, not from %s" % (package, src))
     call = _entry(name)
     number = ENTRIES[name]
     digest = hashlib.sha256(call().encode()).hexdigest()
@@ -122,7 +132,7 @@ def child(name: str, samples: int) -> dict:
             call()
         times.append((time.perf_counter() - t) / number)
     import numpy
-    return {"times": times, "sha256": digest,
+    return {"times": times, "sha256": digest, "linset": package,
             "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "python": platform.python_version(), "numpy": numpy.__version__}
 
@@ -130,7 +140,7 @@ def child(name: str, samples: int) -> dict:
 def run_child(root: str, name: str, samples: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name,
-                           "--repeats", str(samples)],
+                           str(samples)],
                           cwd=root, env=env, capture_output=True, text=True, check=False)
     if proc.returncode:
         raise SystemExit("entry %s failed in %s:\n%s" % (name, root, proc.stderr))
@@ -138,8 +148,12 @@ def run_child(root: str, name: str, samples: int) -> dict:
 
 
 def git_head(root: str):
-    proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
-                          capture_output=True, text=True, check=False)
+    # the tree's HEAD commit, or None outside a git checkout or without git
+    try:
+        proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=False)
+    except FileNotFoundError:
+        return None
     return proc.stdout.strip() or None
 
 
@@ -169,6 +183,7 @@ def measure(roots: dict, samples: int, rounds: int) -> dict:
         "samples_per_round": samples,
         "rounds": rounds,
         "trees": {tree: {"head": git_head(roots[tree]),
+                         "linset": runs[tree][next(iter(ENTRIES))][0]["linset"],
                          "entries": {name: summary(name, rs) for name, rs in runs[tree].items()}}
                   for tree in roots},
     }
@@ -177,27 +192,18 @@ def measure(roots: dict, samples: int, rounds: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", help="another checkout to time beside this one")
-    ap.add_argument("--repeats", type=int, default=15, help="samples per entry per round")
-    ap.add_argument("--rounds", type=int, default=2, help="rounds, alternating the tree order")
     ap.add_argument("--quick", action="store_true", help="one sample per entry, one round")
-    ap.add_argument("--out", help="write the JSON record here (default: stdout)")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=2, metavar=("NAME", "SAMPLES"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.child, args.repeats)))
+        name, samples = args.child
+        print(json.dumps(child(name, int(samples))))
         return 0
-    if args.repeats < 1 or args.rounds < 1:
-        ap.error("--repeats and --rounds must be positive")
     roots = {"this": REPO}
     if args.src:
-        roots["other"] = args.src
-    samples, rounds = (1, 1) if args.quick else (args.repeats, args.rounds)
-    text = json.dumps(measure(roots, samples, rounds), indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        roots["other"] = os.path.abspath(args.src)
+    samples, rounds = (1, 1) if args.quick else (SAMPLES, ROUNDS)
+    sys.stdout.write(json.dumps(measure(roots, samples, rounds), indent=1, sort_keys=True) + "\n")
     return 0
 
 
