@@ -18,9 +18,9 @@ comparison.  For each tree and entry the record holds the median and IQR
 of the per-call seconds over SAMPLES samples a round, the number of samples
 n, the sha256 of the entry's output, whether it equals the digest recorded
 below, and the largest ``ru_maxrss``.  The record also holds each tree's git
-HEAD and the path of the linset package it imported, ``nproc`` and the
-Python and numpy versions.  ``--quick`` takes one sample per entry in one
-round, for a smoke test.  The record goes to stdout.
+HEAD and the path, below the tree, of the linset package it imported,
+``nproc`` and the Python and numpy versions.  ``--quick`` takes one sample
+per entry in one round, for a smoke test.  The record goes to stdout.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ def child(name: str, samples: int) -> dict:
     ``samples`` samples of ENTRIES[name] calls each.  Refuses to run when
     the linset it imports is not the one under this tree's ``src/``."""
     import linset
+    root = os.path.realpath(os.getcwd())
     package = os.path.dirname(os.path.realpath(linset.__file__))
-    src = os.path.join(os.path.realpath(os.getcwd()), "src")
-    if os.path.dirname(package) != src:
-        raise SystemExit("linset imported from %s, not from %s" % (package, src))
+    if os.path.dirname(package) != os.path.join(root, "src"):
+        raise SystemExit("linset imported from %s, not from %s/src" % (package, root))
     call = _entry(name)
     number = ENTRIES[name]
     digest = hashlib.sha256(call().encode()).hexdigest()
@@ -132,7 +132,8 @@ def child(name: str, samples: int) -> dict:
             call()
         times.append((time.perf_counter() - t) / number)
     import numpy
-    return {"times": times, "sha256": digest, "linset": package,
+    return {"times": times, "sha256": digest,
+            "linset": os.path.relpath(package, root),
             "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "python": platform.python_version(), "numpy": numpy.__version__}
 
