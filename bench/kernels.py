@@ -5,9 +5,10 @@
 Times, on fixed inputs, the wide-window kernels ``_bits._reverse`` (a 6,000-bit
 window), ``_bits._spread`` (that window dilated by 3), ``convolve_or`` on its
 FFT path (two dense 6,000-bit operands on a lattice of stride 3) and
-``EPSet.to_expr`` (a 6,000-wide window with a periodic tail), and README's
-dense-window ``iterate --ops "(3,1)"`` and ``dplus`` commands, in process
-through ``linset.cli.run``.
+``EPSet.to_expr`` (a 6,000-wide window with a periodic tail), README's
+dense-window ``iterate --ops "(3,1)"`` and ``dplus`` commands, and the
+long-orbit ``verify-thm61 --set "AP(1,32771)" --ops "cyc[(3,1)]" --L 3``, in
+process through ``linset.cli.run``.
 
 Every entry runs in a fresh interpreter of its own, with linset imported from
 the ``src/`` of the tree it times (the child refuses to run if another copy
@@ -44,32 +45,27 @@ WIDTH = 6000
 SAMPLES = 15    # samples per entry, tree and round
 ROUNDS = 2      # rounds, each alternating which tree runs first
 
-# name -> calls per sample; each sample times that many calls and records
-# the mean, so that microsecond kernels stay above the clock's resolution
+# name -> (calls per sample, sha256 of the entry's output).  Each sample times
+# that many calls and records the mean, so that microsecond kernels stay above
+# the clock's resolution; every tree that computes the same answers reproduces
+# the digest
 ENTRIES = {
-    "reverse": 200,
-    "spread": 200,
-    "convolve_or_fft": 10,
-    "to_expr": 10,
-    "cli_iterate": 1,
-    "cli_dplus": 1,
-}
-
-# sha256 of each entry's output; every tree that computes the same answers
-# reproduces them
-DIGESTS = {
     "reverse":
-        "b429c0039da720f4fc2bd9442edf0e237263eddbd3e56200e0b24ec2db2e5721",
+        (200, "b429c0039da720f4fc2bd9442edf0e237263eddbd3e56200e0b24ec2db2e5721"),
     "spread":
-        "3aa762c7741df8493be3f8a7840dc93ac577ebc20fa49dfa5c2575a223c0f5c2",
+        (200, "3aa762c7741df8493be3f8a7840dc93ac577ebc20fa49dfa5c2575a223c0f5c2"),
     "convolve_or_fft":
-        "c7d9460cd3416ab67a89ba589cb70b7f739f4f4c8c491ba24a1fb5ba12b20d24",
+        (10, "c7d9460cd3416ab67a89ba589cb70b7f739f4f4c8c491ba24a1fb5ba12b20d24"),
     "to_expr":
-        "22b015c7dc3583da20ac7b46f01153a1d4ec2348f5e10502bcc61f6fdbfa9342",
+        (10, "22b015c7dc3583da20ac7b46f01153a1d4ec2348f5e10502bcc61f6fdbfa9342"),
     "cli_iterate":
-        "16527a2801961a5139ab85dafadedcac9692fb31e5ec50a48f26eae5bdfc5bf3",
+        (1, "16527a2801961a5139ab85dafadedcac9692fb31e5ec50a48f26eae5bdfc5bf3"),
     "cli_dplus":
-        "2f00044f9bfdfaf324bcb8fad558822a3b5b1b2b30ed45030aa7e88b9690262b",
+        (1, "2f00044f9bfdfaf324bcb8fad558822a3b5b1b2b30ed45030aa7e88b9690262b"),
+    # a verifier orbit that stays open for its 20,000 steps, each on a
+    # 32,771-bit residue mask; the command exits 2 (INCONCLUSIVE)
+    "cli_verify_long":
+        (1, "eef03749a0c690fc571689edcb50502d845073b83692348b68ef95c9600287ac"),
 }
 
 README_SET = "U({%s},AP+(1,5,200001))" % ",".join(map(str, range(0, 200000, 7)))
@@ -102,8 +98,10 @@ def _entry(name: str):
         s = EPSet(5, -WIDTH // 2, WIDTH // 2 - 1, _window(5), 0, 0b00101)
         return s.to_expr
     from linset.cli import run
-    argv = (["iterate", "--set", README_SET, "--ops", "(3,1)"] if name == "cli_iterate"
-            else ["dplus", "--set", README_SET])
+    argv = {"cli_iterate": ["iterate", "--set", README_SET, "--ops", "(3,1)"],
+            "cli_dplus": ["dplus", "--set", README_SET],
+            "cli_verify_long": ["verify-thm61", "--set", "AP(1,32771)",
+                                "--ops", "cyc[(3,1)]", "--L", "3"]}[name]
 
     def command():
         out = io.StringIO()
@@ -123,7 +121,7 @@ def child(name: str, samples: int) -> dict:
     if os.path.dirname(package) != os.path.join(root, "src"):
         raise SystemExit("linset imported from %s, not from %s/src" % (package, root))
     call = _entry(name)
-    number = ENTRIES[name]
+    number = ENTRIES[name][0]
     digest = hashlib.sha256(call().encode()).hexdigest()
     times = []
     for _ in range(samples):
@@ -164,7 +162,7 @@ def summary(name: str, runs: list) -> dict:
     digests = {r["sha256"] for r in runs}
     digest = digests.pop() if len(digests) == 1 else "differs between rounds"
     return {"median_s": statistics.median(times), "iqr_s": q[2] - q[0], "n": len(times),
-            "sha256": digest, "digest_matches": digest == DIGESTS[name],
+            "sha256": digest, "digest_matches": digest == ENTRIES[name][1],
             "ru_maxrss_kb": max(r["ru_maxrss_kb"] for r in runs)}
 
 

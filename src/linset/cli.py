@@ -328,7 +328,6 @@ def parse_ops(text: str) -> OpSequence:
         cyclic = True
     ops = []
     made = {}       # (a, b) as matched -> its LinearOp, checked once
-    cap = window_cap()
     i = sc.i
     while m := _OP.match(text, i):
         a, b, k = m.groups()
@@ -340,9 +339,7 @@ def parse_ops(text: str) -> OpSequence:
             reps = _to_int(m, 3)
             if reps < 1:
                 raise SetSemanticError("repetition count must be positive")
-        if len(ops) + reps > cap:
-            raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
-                                        % (len(ops) + reps, cap))
+        _check_op_count(len(ops) + reps)
         ops += [op] * reps
         i = m.end()
     sc.i = i
@@ -357,6 +354,12 @@ def parse_ops(text: str) -> OpSequence:
     if not ops:
         raise SetSyntaxError("empty operation sequence", sc.i)
     return OpSequence(tuple(ops), cyclic=cyclic)
+
+
+def _check_op_count(n: int) -> None:
+    if n > window_cap():
+        raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
+                                    % (n, window_cap()))
 
 
 def _atom_op(a: int, b: int) -> LinearOp:
@@ -387,9 +390,7 @@ def _parse_rand(text: str, seed: int) -> OpSequence:
     sc.end()
     if n < 1 or bound < 1:
         raise SetSemanticError("rand(n,L) needs n >= 1 and L >= 1")
-    if n > window_cap():
-        raise ResourceLimitExceeded("operation sequence of %d ops exceeds the cap %d"
-                                    % (n, window_cap()))
+    _check_op_count(n)
     return random_ops(n, bound, seed)
 
 
@@ -549,7 +550,7 @@ def cmd_iterate(args):
         "resource_flag": tr.resource_flag,
         "iterates": [{"k": k, "set": t} for k, t in enumerate(texts)],
     }
-    rows = [(k, t, x.full_period()) for k, (t, x) in enumerate(zip(texts, tr.iterates))]
+    rows = [(k, t, q) for k, (t, q) in enumerate(zip(texts, tr.periods))]
     return report, rows, ("k", "set", "full_period"), (2 if tr.resource_flag else 0)
 
 

@@ -18,14 +18,17 @@ from .linops import OpSequence, apply_linear_op
 class IterationTrace:
     """Record of an exact orbit.
 
-    ``iterates[0]`` is the input.  ``cycle`` is only claimed when the
-    operation sequence is constant over the detected span (repeating sets
-    under varying operations are not periodic dynamics).  ``closed`` means
-    every future iterate provably equals a recorded one; ``closure`` is
-    the (onset, length) of the replayed stretch in that case.
+    ``iterates[0]`` is the input, and ``periods[k]`` is
+    ``iterates[k].full_period()``, derived once for every reader.
+    ``cycle`` is only claimed when the operation sequence is constant over
+    the detected span (repeating sets under varying operations are not
+    periodic dynamics).  ``closed`` means every future iterate provably
+    equals a recorded one; ``closure`` is the (onset, length) of the
+    replayed stretch in that case.
     """
 
     iterates: list
+    periods: list
     distinct_count: int
     cycle: tuple | None
     periodicity_onset: tuple | None
@@ -58,6 +61,7 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
 
     trace = IterationTrace(
         iterates=iterates,
+        periods=[x.full_period() for x in iterates],
         distinct_count=len(set(iterates)),
         cycle=None if key else closure,
         periodicity_onset=None,
@@ -72,15 +76,11 @@ def iterate_trace(s: EPSet, seq: OpSequence, max_k: int = 256) -> IterationTrace
 def full_periodicity_onset(trace: IterationTrace):
     """Smallest (k0, g): every recorded iterate from k0 on satisfies
     S + g == S, with g minimal (the lcm of the suffix periods)."""
-    periods = [s.full_period() for s in trace.iterates]
-    last_bad = -1
-    for i, q in enumerate(periods):
-        if q is None:
-            last_bad = i
-    k0 = last_bad + 1
-    if k0 >= len(periods):
-        return None
-    return (k0, math.lcm(*periods[k0:]))
+    periods = trace.periods
+    k0 = len(periods)
+    while k0 and periods[k0 - 1] is not None:
+        k0 -= 1
+    return (k0, math.lcm(*periods[k0:])) if k0 < len(periods) else None
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -178,15 +178,14 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
         raise InputError("g_bound = L^(K+1) is too large to report; lower --c or --L")
 
     trace = iterate_trace(a, seq, max_k=max_steps)
-    its = trace.iterates
     observed_k0, observed_g = trace.periodicity_onset or (None, None)
     verdict, stable_g, bound_t = "INCONCLUSIVE", None, None
     if trace.closed:
         o, lam = trace.closure
-        periods = [f.full_period() for f in set(its[o:o + lam]) | set(its[K:])]
+        span = trace.periods[o:o + lam] + trace.periods[K:]     # replayed, and from K on
         verdict = "FAIL"
-        if None not in periods:
-            stable_g = math.lcm(*periods)
+        if None not in span:
+            stable_g = math.lcm(*span)
             bound_t = K + stable_g ** 3 * L ** 2
             if stable_g <= g_bound and trace.distinct_count <= bound_t:
                 verdict = "PASS"
@@ -194,7 +193,7 @@ def verify_stabilization(a: EPSet, seq: OpSequence, bound: int | None = None,
         # no closure: a PASS over the horizon needs it long enough to be
         # meaningful, otherwise the verdict stays inconclusive
         bound_h = K + observed_g ** 3 * L ** 2
-        if len(its) > K + bound_h and observed_g <= g_bound \
+        if len(trace.periods) > K + bound_h and observed_g <= g_bound \
                 and trace.distinct_count <= bound_h:
             verdict, stable_g, bound_t = "PASS", observed_g, bound_h
     return StabilizationReport(beta, K, L, c, g_bound, observed_k0, observed_g,

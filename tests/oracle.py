@@ -26,7 +26,7 @@ from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExc
                           window_cap)
 from linset.linops import OpSequence, apply_linear_op
 from linset.residue import ResidueOrbit, gamma_mod, totient
-from linset.stability import IterationTrace, full_periodicity_onset
+from linset.stability import IterationTrace, StabilizationReport, full_periodicity_onset
 
 
 def member(s, x):
@@ -369,10 +369,53 @@ def iterate_trace(s, seq, max_k=256):
                 break
             seen_states[state] = k
 
-    trace = IterationTrace(iterates, len(set(iterates)), cycle, None, resource,
-                           closed, closure)
+    trace = IterationTrace(iterates=iterates, periods=[x.full_period() for x in iterates],
+                           distinct_count=len(set(iterates)), cycle=cycle,
+                           periodicity_onset=None, resource_flag=resource, closed=closed,
+                           closure=closure)
     trace.periodicity_onset = full_periodicity_onset(trace)
     return trace
+
+
+# -- the verifier that asked the iterates for their periods -------------------
+# ``verify_stabilization`` as it stood before ``IterationTrace.periods``: the
+# onset scans every iterate's full period, and the closure span is the set of
+# iterates of the replayed stretch and from step K on, each asked again.  The
+# input checks are left out: callers pass valid inputs.
+
+def verify_stabilization(a, seq, bound=None, c=10, max_steps=20000):
+    L = bound if bound is not None else max(seq.bound, 2)
+    beta = 1 / a.upper_density()
+    K = c * L + floor_log2(beta ** c)
+    g_bound = L ** (K + 1)
+    trace = iterate_trace(a, seq, max_k=max_steps)
+    its = trace.iterates
+    last_bad = -1
+    for i, x in enumerate(its):
+        if x.full_period() is None:
+            last_bad = i
+    observed_k0 = observed_g = None
+    if last_bad + 1 < len(its):
+        observed_k0 = last_bad + 1
+        observed_g = math.lcm(*(x.full_period() for x in its[observed_k0:]))
+    verdict, stable_g, bound_t = "INCONCLUSIVE", None, None
+    if trace.closed:
+        o, lam = trace.closure
+        periods = [f.full_period() for f in set(its[o:o + lam]) | set(its[K:])]
+        verdict = "FAIL"
+        if None not in periods:
+            stable_g = math.lcm(*periods)
+            bound_t = K + stable_g ** 3 * L ** 2
+            if stable_g <= g_bound and trace.distinct_count <= bound_t:
+                verdict = "PASS"
+    elif not trace.resource_flag and observed_k0 is not None and observed_k0 <= K:
+        bound_h = K + observed_g ** 3 * L ** 2
+        if len(its) > K + bound_h and observed_g <= g_bound \
+                and trace.distinct_count <= bound_h:
+            verdict, stable_g, bound_t = "PASS", observed_g, bound_h
+    return StabilizationReport(beta, K, L, c, g_bound, observed_k0, observed_g, stable_g,
+                               trace.distinct_count, bound_t, verdict, trace.resource_flag,
+                               trace.closed, trace)
 
 
 def residue_orbit(u, a, b, max_steps=None):

@@ -25,7 +25,7 @@ def test_quick_record_has_keys_and_digests():
     assert set(tree) == {"head", "linset", "entries"}
     assert tree["linset"] == os.path.join("src", "linset")
     assert set(tree["entries"]) == {"reverse", "spread", "convolve_or_fft", "to_expr",
-                                    "cli_iterate", "cli_dplus"}
+                                    "cli_iterate", "cli_dplus", "cli_verify_long"}
     for name, entry in tree["entries"].items():
         assert set(entry) == ENTRY_KEYS, name
         assert entry["n"] == 1 and entry["median_s"] > 0 and entry["ru_maxrss_kb"] > 0

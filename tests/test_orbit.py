@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import fields
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -13,7 +13,7 @@ from conftest import epsets
 from linset import linops, stability
 from linset._orbit import orbit
 from linset.analysis import stability_time
-from linset.cli import parse_ops, parse_set_expression
+from linset.cli import parse_ops, parse_set_expression, run
 from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExceeded,
                           set_window_cap, window_cap)
 from linset.linops import LinearOp, OpSequence
@@ -301,8 +301,55 @@ def test_verify_horizon_pass_needs_no_resource_stop(resource, verdict, monkeypat
     # an open trace of 50 iterates, more than K + bound = 20 + 24, so long
     # enough for a PASS over the horizon, stopped by the horizon or the cap
     z = EPSet.integers()
-    trace = IterationTrace([z] * 50, 1, None, (0, 1), resource, False, None)
+    trace = IterationTrace(iterates=[z] * 50, periods=[1] * 50, distinct_count=1, cycle=None,
+                           periodicity_onset=(0, 1), resource_flag=resource, closed=False,
+                           closure=None)
     monkeypatch.setattr(stability, "iterate_trace", lambda *args, **kwargs: trace)
     rep = verify_stabilization(z, OpSequence.repeat(2, 1, 49))
     assert (rep.verdict, rep.resource_flag, rep.closed) == (verdict, resource, False)
     assert (rep.stable_g, rep.bound) == ((1, rep.K + 4) if resource is None else (None, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(epsets(max_period=6, span=10), op_sequences(), st.sampled_from((1, 2)),
+       st.sampled_from((8, 64)))
+# K = 3 before the closure onset 4, and an open trace of 16 iterates, the
+# fewest for a PASS over the horizon (K + bound = 3 + 12 < 16); drawn cases
+# put K inside the closure span or after it
+@example(parse_set_expression("U(AP+(0,3,0),AP+(-1,3,-1))"),
+         parse_ops("cyc[(1,3)(1,3)(1,3)(1,2)]"), 1, 64)
+@example(EPSet.integers(), OpSequence(((2, 1), (3, 1)) * 7 + ((2, 1),)), 1, 64)
+def test_verify_matches_set_based_rule(s, seq, c, max_steps):
+    assume(s.upper_density() > 0)
+    old = window_cap()
+    try:
+        set_window_cap(512)
+        rep = verify_stabilization(s, seq, c=c, max_steps=max_steps)
+        ref = oracle.verify_stabilization(s, seq, c=c, max_steps=max_steps)
+    finally:
+        set_window_cap(old)
+    assert (rep.to_json_dict(), rep.stable_g, rep.closed) == \
+        (ref.to_json_dict(), ref.stable_g, ref.closed)
+
+
+@pytest.mark.parametrize("set_expr,ops", [
+    ("U(AP+(0,3,0),AP+(-1,3,-1))", "cyc[(1,3)(1,3)(1,3)(1,2)]"),    # closed
+    ("AP+(1,3,1)", "cyc[(3,1)]"),                                    # closed, constant op
+    ("U(AP+(1,6,1),{0})", "(2,1)(3,1)(2,1)(3,1)"),                   # open, finite
+])
+def test_full_period_is_derived_once_per_iterate(set_expr, ops, monkeypatch, capsys):
+    calls = []
+    full_period = EPSet.full_period
+
+    def counted(self):
+        calls.append(self)
+        return full_period(self)
+    monkeypatch.setattr(EPSet, "full_period", counted)
+    s, seq = parse_set_expression(set_expr), parse_ops(ops)
+    rep = verify_stabilization(s, seq, c=1)
+    assert len(calls) == len(rep.trace.iterates)
+    n = len(iterate_trace(s, seq).iterates)     # the trace the iterate command prints
+    calls.clear()
+    assert run(["iterate", "--set", set_expr, "--ops", ops, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(calls) == len(rows) == n
