@@ -71,11 +71,12 @@ class GapReport:
     holds: bool
 
 
-def gap_bound_check(x: EPSet, a: int, b: int, within=None) -> GapReport:
+def gap_bound_check(x: EPSet, a: int, b: int) -> GapReport:
     """Gaps of aX - bX and bX - aX against the bound a.
 
-    The bound is guaranteed when the density of X exceeds a/(a+1); the
-    check still runs below the threshold and reports what it saw.
+    Each gap is the exact sup over the whole set (``EPSet.max_gap``).  The
+    bound is guaranteed when the density of X exceeds a/(a+1); the check
+    still runs below the threshold and reports what it saw.
     """
     if not (a >= b >= 1):
         raise InputError("need a >= b >= 1")
@@ -83,14 +84,8 @@ def gap_bound_check(x: EPSet, a: int, b: int, within=None) -> GapReport:
     threshold = Fraction(a, a + 1)
     fwd = apply_linear_op(LinearOp(a, b), x)
     bwd = fwd.negate()
-    if within is not None:
-        span = (-(a + b) * max(abs(within[0]), abs(within[1])),
-                (a + b) * max(abs(within[0]), abs(within[1])))
-        gap_f = fwd.max_gap(within=span)
-        gap_b = bwd.max_gap(within=span)
-    else:
-        gap_f = fwd.max_gap()
-        gap_b = bwd.max_gap()
+    gap_f = fwd.max_gap()
+    gap_b = bwd.max_gap()
     ok = dens > threshold
     holds = gap_f <= a and gap_b <= a
     return GapReport(dens, threshold, ok, gap_f, gap_b, a, holds)

@@ -345,23 +345,20 @@ class EPSet:
         """Density of the positive side; exact, the limit exists for EPSets."""
         return Fraction(self.pos_tail.bit_count(), self.period)
 
-    def max_gap(self, within=None):
-        """Sup of gaps between consecutive elements.
+    def max_gap(self):
+        """Sup of gaps between consecutive elements, over the whole set exactly.
 
-        With ``within=(a, b)`` only elements inside [a, b] are considered.
-        Without it the whole set is scanned exactly; returns ``math.inf``
-        when the set is bounded above (no next element beyond some point).
+        Returns ``math.inf`` when the set is bounded above (no next element
+        beyond some point); the empty set raises ``InputError``.
         """
-        if within is None:
-            if self.is_empty():
-                raise InputError("max_gap of the empty set is undefined")
-            if not self.pos_tail:
-                return math.inf
-            # every gap of a tail occurs within two periods of the window
-            g = self.period
-            within = (self.lo - 2 * g if self.neg_tail else self.min_element(),
-                      self.hi + 2 * g)
-        return max_consecutive_gap(self.elements_in(*within))
+        if self.is_empty():
+            raise InputError("max_gap of the empty set is undefined")
+        if not self.pos_tail:
+            return math.inf
+        # every gap of a tail occurs within two periods of the window
+        g = self.period
+        lo = self.lo - 2 * g if self.neg_tail else self.min_element()
+        return max_consecutive_gap(self.elements_in(lo, self.hi + 2 * g))
 
     # -- textual form ----------------------------------------------------------
 

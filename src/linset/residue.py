@@ -9,7 +9,7 @@ Convention note: the decomposition places V in a1*G and X in b1*G with
 a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
 that convention before being returned.  A residue set is an int mask with
 bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
-Three kernels compute the image aU + bU.  ``_bits._image`` images one
+Two kernels compute the image aU + bU.  ``_bits._image`` images one
 Python-int mask, a small one in one walk of its members and a wide one
 with many members on numpy index arrays; every per-set function here
 (``gamma_mod``, ``cardinality_check``, ``decompose_equality_case``,
@@ -17,10 +17,9 @@ with many members on numpy index arrays; every per-set function here
 bare masks and builds a ``ResidueSet`` only for what it returns.  Those results take the
 modulus of an existing set, so ``_residue_set`` builds them without the
 modulus checks of ``ResidueSet(...)`` and ``from_mask``.
-``cardinality_sweep`` images many masks at once for g <= 64, on numpy
+``cardinality_sweep`` images all 2^g subsets at once for g <= 64, on numpy
 lanes of the narrowest unsigned dtype that holds g bits: ``_image_table``
-builds the images of all 2^g subsets by doubling, and ``_image_masks``
-images a given array of sampled masks.  This module has no EPSet
+builds the images by doubling.  This module has no EPSet
 conversion; ``linops.apply_linear_op`` reads an EPSet's residues and calls
 ``_image`` itself.
 """
@@ -341,40 +340,15 @@ def nonperiodic_absorption_check(x: ResidueSet, a: int, b: int) -> AbsorptionRep
 # Vectorized sweeps over subsets of Z/gZ.  Subsets are masks of dtype
 # uint16 for g <= 16, uint32 up to g = 32 and uint64 up to g = 64; a
 # rotation by s is ((v << s) | (v >> (g - s))) & full, so bits shifted past
-# the dtype are always bits the mask drops.  An exhaustive sweep builds the
+# the dtype are always bits the mask drops.  A sweep builds the
 # image table of all 2^g subsets by doubling: for U < 2^k,
 #     a(U+{k}) + b(U+{k}) = (aU + bU) | (ak + bU) | (aU + bk) | {(a+b)k},
 # so each block [2^k, 2^(k+1)) takes about 12 elementwise passes over the
 # block [0, 2^k) below it, and the table about 12 * 2^g operations in all.
-# Sampled masks share no such structure and take 3g elementwise passes each
-# (``_image_masks``).
 
 def _mask_dtype(g: int):
     # the narrowest lane that holds g bits: fewer bytes per elementwise pass
     return np.uint16 if g <= 16 else np.uint32 if g <= 32 else np.uint64
-
-
-def _image_masks(masks: np.ndarray, g: int, a: int, b: int) -> np.ndarray:
-    dt = masks.dtype
-    au = np.zeros_like(masks)
-    bu = np.zeros_like(masks)
-    one = np.array(1, dtype=dt)
-    for x in range(g):
-        sel = (masks >> np.array(x, dtype=dt)) & one
-        au |= sel << np.array(a * x % g, dtype=dt)
-        bu |= sel << np.array(b * x % g, dtype=dt)
-    out = np.zeros_like(masks)
-    full = np.array((1 << g) - 1, dtype=dt)
-    zero = np.array(0, dtype=dt)
-    for y in range(g):
-        sel = ((bu >> np.array(y, dtype=dt)) & one).astype(bool)
-        if y == 0:
-            rot = au
-        else:
-            rot = ((au << np.array(y, dtype=dt)) |
-                   (au >> np.array(g - y, dtype=dt))) & full
-        out |= np.where(sel, rot, zero)
-    return out
 
 
 def _image_table(g: int, a: int, b: int) -> np.ndarray:
@@ -407,35 +381,25 @@ def _image_table(g: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def cardinality_sweep(g: int, a: int, b: int, masks: np.ndarray | None = None):
-    """Check |aU + bU| >= |U| over many subsets at once.
+def cardinality_sweep(g: int, a: int, b: int):
+    """Check |aU + bU| >= |U| over all 2^g subsets U of Z/gZ at once.
 
-    With ``masks=None`` sweeps all 2^g subsets through the doubling image
-    table, refusing with ``ResourceLimitExceeded`` before any allocation
-    when 2^g exceeds ``window_cap()``.  Otherwise ``masks`` is an integer
-    array of subsets in [0, 2^g), imaged mask by mask.  Masks are uint16
-    for g <= 16, uint32 up to g = 32 and uint64 up to g = 64; g outside
-    1..64 and masks outside [0, 2^g) raise ``InputError``.  Returns
+    The images come from the doubling image table, on uint16 lanes for
+    g <= 16, uint32 up to g = 32 and uint64 up to g = 64.  g outside 1..64
+    raises ``InputError``; 2^g past ``window_cap()`` raises
+    ``ResourceLimitExceeded`` before any allocation.  Returns
     (all_hold, equality_masks): equality_masks lists the subsets (as ints)
     where |aU + bU| == |U| with U nonempty.
     """
     if not 1 <= g <= 64:
         raise InputError("sweep modulus must be in 1..64, got %d" % g)
-    if masks is None:
-        if (1 << g) > window_cap():
-            raise ResourceLimitExceeded("sweep over 2^%d subsets exceeds the cap %d"
-                                        % (g, window_cap()))
-        # only the images' popcounts are kept: the table is freed before the
-        # masks are built
-        pc_im = np.bitwise_count(_image_table(g, a, b))
-        masks = np.arange(1 << g, dtype=_mask_dtype(g))
-    else:
-        if masks.dtype.kind not in "iu":
-            raise InputError("masks must be an integer array")
-        if masks.size and (int(masks.min()) < 0 or int(masks.max()) >> g):
-            raise InputError("masks must lie in [0, 2^%d)" % g)
-        masks = masks.astype(_mask_dtype(g))
-        pc_im = np.bitwise_count(_image_masks(masks, g, a, b))
+    if (1 << g) > window_cap():
+        raise ResourceLimitExceeded("sweep over 2^%d subsets exceeds the cap %d"
+                                    % (g, window_cap()))
+    # only the images' popcounts are kept: the table is freed before the
+    # masks are built
+    pc_im = np.bitwise_count(_image_table(g, a, b))
+    masks = np.arange(1 << g, dtype=_mask_dtype(g))
     pc_u = np.bitwise_count(masks)
     eq = masks[(pc_im == pc_u) & (pc_u > 0)]
     return bool(np.all(pc_im >= pc_u)), eq.tolist()

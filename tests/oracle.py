@@ -286,6 +286,45 @@ def image(mask, a, b, g):
     return sum(1 << r for r in {(a * x + b * y) % g for x in xs for y in xs})
 
 
+# The same image on numpy lanes, one mask per lane, with no doubling: the
+# reference for ``residue._image_table``, and the imager of sampled masks
+# past the exhaustive range.  aU and bU are gathered bit by bit, then
+# aU + bU is the OR of aU rotated by each member of bU: 3g elementwise passes.
+
+def image_lanes(masks, g, a, b):
+    """aU + bU mod g for each mask of an unsigned array of lanes."""
+    dt = masks.dtype
+    au = np.zeros_like(masks)
+    bu = np.zeros_like(masks)
+    one = np.array(1, dtype=dt)
+    for x in range(g):
+        sel = (masks >> np.array(x, dtype=dt)) & one
+        au |= sel << np.array(a * x % g, dtype=dt)
+        bu |= sel << np.array(b * x % g, dtype=dt)
+    out = np.zeros_like(masks)
+    full = np.array((1 << g) - 1, dtype=dt)
+    zero = np.array(0, dtype=dt)
+    for y in range(g):
+        sel = ((bu >> np.array(y, dtype=dt)) & one).astype(bool)
+        if y == 0:
+            rot = au
+        else:
+            rot = ((au << np.array(y, dtype=dt)) |
+                   (au >> np.array(g - y, dtype=dt))) & full
+        out |= np.where(sel, rot, zero)
+    return out
+
+
+def sweep(g, a, b, masks):
+    """``cardinality_sweep``'s (all_hold, equality_masks) over the given
+    masks in [0, 2^g), imaged on uint64 lanes."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    pc_im = np.bitwise_count(image_lanes(masks, g, a, b))
+    pc_u = np.bitwise_count(masks)
+    eq = masks[(pc_im == pc_u) & (pc_u > 0)]
+    return bool(np.all(pc_im >= pc_u)), eq.tolist()
+
+
 # -- the canonical form that EPSet's loop-free trim replaced -------------------
 # The constructor body as it stood when it walked the period bit by bit to
 # find where the tail rules split, kept as the reference for ``_key()``.

@@ -103,7 +103,7 @@ def test_gap_bound_threshold_logic():
     assert rep.holds and rep.gap_forward == 1
 
     sparse = EPSet.half_line(0, 5, 0)
-    rep = gap_bound_check(sparse, 2, 1, within=(0, 300))
+    rep = gap_bound_check(sparse, 2, 1)
     assert not rep.precondition_ok
 
     for a, b in ((1, 2), (2, 0)):

@@ -116,6 +116,8 @@ def test_sparse_interval_union():
     assert t.elems == (5,) + tuple(range(28, 41))
     dense = sparse_interval_union([1, 2], Fraction(10), 25)
     assert max_consecutive_gap(dense.elems) == 1
+    with pytest.raises(InputError, match="^delta must be positive$"):
+        sparse_interval_union([1, 4], 0, 10)
 
 
 def test_interval_gap_profile_grows():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import oracle
 from conftest import allocates_below, epsets, random_epset
 from linset._bits import _periodic_fill
-from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, WindowCapExceeded, _dilated, _minkowski,
-                          _negated, set_window_cap, window_cap)
+from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, InputError, WindowCapExceeded, _dilated,
+                          _minkowski, _negated, set_window_cap, window_cap)
 
 R = 200  # comparison radius for oracle checks
 
@@ -255,6 +255,18 @@ def test_negate_union_restrict_examples():
         assert s.negate().negate() == s
 
 
+def test_operators_are_their_methods():
+    s = EPSet.half_line(1, 3, 1)
+    t = EPSet.from_iterable([0, 5])
+    assert -s == s.negate() != s
+    assert s | t == s.union(t) != s
+    # a non-EPSet operand gives NotImplemented, so Python raises TypeError
+    for apply in (lambda: s + 1, lambda: s - 1):
+        with pytest.raises(TypeError):
+            apply()
+    assert (s == 1) is False
+
+
 def test_density_and_gap_examples():
     assert EPSet.half_line(1, 3, 1).upper_density() == Fraction(1, 3)
     s = EPSet(7, 0, -1, 0, 0, 0b0011111)
@@ -445,6 +457,33 @@ def test_cap_checked_before_large_masks(make):
             make()
 
 
+@pytest.mark.parametrize("key, message", [
+    ((0, 0, -1, 0, 0, 0), "period must be a positive integer"),
+    ((1, 2, 0, 0, 0, 0), "window bounds must satisfy lo <= hi \\+ 1"),
+    ((1, 0, 1, 0b100, 0, 0), "window bits outside \\[lo, hi\\]"),
+    ((2, 0, -1, 0, 0b100, 0), "tail residues outside \\[0, period\\)"),
+], ids=["period", "bounds", "window", "tail"])
+def test_constructor_refuses_a_malformed_representation(key, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        EPSet(*key)
+
+
+def test_constructor_refuses_a_period_past_the_cap():
+    with pytest.raises(WindowCapExceeded) as err:
+        EPSet(window_cap() + 1, 0, -1, 0, 1, 1)
+    assert (err.value.requested, err.value.cap) == (window_cap() + 1, window_cap())
+
+
+def test_set_window_cap_refuses_a_cap_below_1():
+    old = window_cap()
+    try:
+        with pytest.raises(InputError, match="^window cap must be positive$"):
+            set_window_cap(0)
+        assert window_cap() == old
+    finally:
+        set_window_cap(old)
+
+
 def test_window_cap_enforced():
     old = window_cap()
     try:
@@ -493,8 +532,6 @@ def test_queries_match_membership(s):
     else:
         gaps = [y - x for x, y in zip(xs, xs[1:])]
         assert s.max_gap() == (max(gaps) if above else math.inf)
-    near = [x for x in xs if -7 <= x <= 9]
-    assert s.max_gap(within=(-7, 9)) == max((y - x for x, y in zip(near, near[1:])), default=0)
 
 
 @given(epsets())

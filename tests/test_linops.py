@@ -217,6 +217,8 @@ def test_op_sequence_validation():
         OpSequence(((3, 1),), bound=2)
     seq = OpSequence(((2, 1), (3, 2)), cyclic=True)
     assert seq.op_at(5) == LinearOp(3, 2)
+    with pytest.raises(IndexError, match="^operation index 2 beyond a non-cyclic sequence$"):
+        OpSequence(((2, 1), (3, 1))).op_at(2)
     assert not seq.constant_from(0)
     assert OpSequence.repeat(2, 1, 4, cyclic=True).constant_from(1)
 

@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import oracle
 from conftest import allocates_below
 from linset import residue
 from linset.analysis import difference_fully_periodic_check
@@ -104,6 +105,19 @@ def test_tampered_certificate_fails_verify(field, value):
     cert = decompose_equality_case(U12, 4, 3)
     assert cert.verify(U12)
     assert not replace(cert, **{field: value}).verify(U12)
+
+
+def test_swapped_components_fail_only_the_divisibility_check():
+    u = ResidueSet(12, [0, 3, 4, 7])
+    cert = decompose_equality_case(u, 3, 4)
+    assert (cert.v, cert.x, cert.a1, cert.b1) == ((0, 3), (0, 4), 3, 4)
+    swapped = replace(cert, v=cert.x, x=cert.v)
+    # the reconstruction, the sizes and step = a1 * b1 all still hold: only
+    # V inside a1*G and X inside b1*G tell the swap apart
+    assert swapped.reconstruct() == u
+    assert len(u) == len(swapped.v) * len(swapped.x) * (12 // swapped.subgroup_step)
+    assert swapped.subgroup_step == swapped.a1 * swapped.b1
+    assert not swapped.verify(u)
 
 
 def test_decompose_matches_bruteforce_search():
@@ -207,7 +221,6 @@ def test_residue_layer_builds_no_epset(monkeypatch):
     assert isinstance(decompose_equality_case(U12, 4, 3), DecompositionCertificate)
     assert cardinality_check(U12, 4, 3) == (6, 6, True)
     assert cardinality_sweep(6, 2, 1)[0]
-    assert cardinality_sweep(6, 2, 1, masks=np.array([5, 9], dtype=np.uint64))[0]
     assert nonperiodic_absorption_check(ResidueSet(6, [0]), 5, 2).holds
 
 
@@ -310,6 +323,7 @@ def test_orbit_iterate_count_bound():
 def test_multiplicative_order():
     assert multiplicative_order(2, 15) == 4
     assert multiplicative_order(1, 7) == 1
+    assert multiplicative_order(5, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(3, 6)
 
@@ -319,6 +333,15 @@ def test_multiplicative_order_refuses_a_modulus_below_1(x, n):
     # (2, -5) looped forever, and (1, 0) divided by zero
     with pytest.raises(InputError, match="modulus must be positive"):
         multiplicative_order(x, n)
+
+
+@pytest.mark.parametrize("make", [lambda: ResidueSet(0, []),
+                                  lambda: ResidueSet.from_mask(0, 0),
+                                  lambda: ResidueSet.subgroup(0, 1)],
+                         ids=["init", "from_mask", "subgroup"])
+def test_modulus_below_1_refused(make):
+    with pytest.raises(InputError, match="^modulus must be positive$"):
+        make()
 
 
 def test_totient_matches_gcd_count():
@@ -376,7 +399,7 @@ def test_image_table_matches_image_masks():
         for a, b in _pairs_for(g):
             got = residue._image_table(g, a, b)
             assert got.dtype == np.uint16
-            assert np.array_equal(got, residue._image_masks(masks, g, a, b)), (g, a, b)
+            assert np.array_equal(got, oracle.image_lanes(masks, g, a, b)), (g, a, b)
 
 
 def test_image_table_matches_gamma_mod_sampled():
@@ -394,8 +417,7 @@ def test_sweep_exhaustive_matches_explicit_masks():
     for g in range(1, 15):
         masks = np.arange(1 << g, dtype=np.uint64)
         for a, b in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 6)):
-            assert cardinality_sweep(g, a, b) == \
-                cardinality_sweep(g, a, b, masks=masks), (g, a, b)
+            assert cardinality_sweep(g, a, b) == oracle.sweep(g, a, b, masks), (g, a, b)
 
 
 # sha256 of "<all_hold> <equality masks>" for the benchmark's moduli above
@@ -422,44 +444,27 @@ def test_sweep_golden_digests(g, a, b):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[g, a, b]
 
 
-@pytest.mark.parametrize("g", [16, 17, 31, 32, 33, 64])
+@pytest.mark.parametrize("g", [15, 16, 17])
 def test_sweep_masks_across_dtype_boundary(g):
-    # uint16 up to g = 16, uint32 up to 32, uint64 above: top bits must
-    # survive the rotations
+    # the image table is uint16 up to g = 16 and uint32 above: top bits must
+    # survive the rotations of the last uint16 lanes and the first uint32 one
     rng = random.Random(g)
     top = (1 << g) - 1
     samples = [top, 1 << (g - 1), 1, 3 << (g - 2), top ^ 1] + \
         [rng.getrandbits(g) for _ in range(60)] + \
         [rng.getrandbits(g) & rng.getrandbits(g) & rng.getrandbits(g) for _ in range(60)]
     for a, b in ((2, 1), (3, 2), (g - 1, 1)):
-        want_eq = []
-        want_hold = True
+        table = residue._image_table(g, a, b)
+        assert table.dtype == residue._mask_dtype(g)
         for mask in samples:
-            u = ResidueSet.from_mask(g, mask)
-            n_im = len(gamma_mod(u, a, b))
-            want_hold &= n_im >= len(u)
-            if mask and n_im == len(u):
-                want_eq.append(mask)
-        got = cardinality_sweep(g, a, b, masks=np.array(samples, dtype=np.uint64))
-        assert got == (want_hold, want_eq), (g, a, b)
+            want = gamma_mod(ResidueSet.from_mask(g, mask), a, b).mask
+            assert int(table[mask]) == want, (g, a, b, mask)
 
 
 def test_sweep_input_contract():
-    # a bit at or above g is refused, not counted in |U| and left unimaged
-    with pytest.raises(ValueError, match="masks must lie in"):
-        cardinality_sweep(4, 2, 1, masks=np.array([0b10001], dtype=np.uint64))
-    with pytest.raises(ValueError, match="masks must lie in"):
-        cardinality_sweep(4, 2, 1, masks=np.array([3, -1], dtype=np.int64))
-    with pytest.raises(ValueError, match="integer array"):
-        cardinality_sweep(4, 2, 1, masks=np.array([1.0, 3.0]))
-    for g in (0, -3):
+    for g in (0, -3, 65):
         with pytest.raises(ValueError, match="1..64"):
             cardinality_sweep(g, 2, 1)
-    with pytest.raises(ValueError, match="1..64"):
-        cardinality_sweep(65, 2, 1, masks=np.array([1], dtype=np.uint64))
-    assert cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.int64)) == \
-        cardinality_sweep(4, 2, 1, masks=np.array([5, 15], dtype=np.uint64))
-    assert cardinality_sweep(5, 2, 1, masks=np.array([], dtype=np.uint64)) == (True, [])
 
 
 @pytest.mark.parametrize("make", [lambda g: ResidueSet(g, [g - 1]),
@@ -480,12 +485,9 @@ def test_sweep_refuses_above_window_cap():
     old = window_cap()
     try:
         set_window_cap(1 << 10)
-        assert cardinality_sweep(10, 2, 1) == cardinality_sweep(
-            10, 2, 1, masks=np.arange(1 << 10, dtype=np.uint64))
+        assert cardinality_sweep(10, 2, 1) == oracle.sweep(10, 2, 1, np.arange(1 << 10))
         with pytest.raises(ResourceLimitExceeded):
             cardinality_sweep(11, 2, 1)
-        # explicit masks are bounded by their own array, not by the cap
-        assert cardinality_sweep(11, 2, 1, masks=np.array([1, 2, 3], dtype=np.uint64))[0]
     finally:
         set_window_cap(old)
 

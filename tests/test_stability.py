@@ -101,6 +101,8 @@ def test_floor_log2_exact():
     assert _floor_log2(Fraction(8)) == 3
     assert _floor_log2(Fraction(9, 8)) == 0
     assert _floor_log2(Fraction(1, 3)) == -2
+    with pytest.raises(ValueError, match="^log of a nonpositive value$"):
+        _floor_log2(Fraction(0))
     for _ in range(200):
         rng = random.Random(_)
         p, q = rng.randint(1, 10**6), rng.randint(1, 10**6)
