@@ -691,6 +691,8 @@ def _sweep_cell(cell):
 def cmd_sweep(args):
     sets = [x.strip() for x in args.sets.split(";") if x.strip()]
     ops_entries = [x.strip() for x in args.ops_list.split(";") if x.strip()]
+    if not sets or not ops_entries:     # an empty grid would PASS vacuously
+        raise InputError("sweep needs at least one --sets entry and one --ops-list entry")
     cap = window_cap()
     if len(sets) * len(ops_entries) > cap:
         raise ResourceLimitExceeded("sweep grid of %d cells exceeds the cap %d"

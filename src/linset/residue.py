@@ -2,26 +2,27 @@
 
 Centerpiece: subsets U of Z/gZ with |aU + bU| = |U| for coprime a, b
 decompose as U = V + X + H with V inside a1*G, X inside b1*G and
-H = a1*b1*G the period subgroup.  ``decompose_equality_case`` builds that
-decomposition constructively and returns a verifiable certificate.
+H = a1*b1*G the period subgroup.  ``decompose_equality_case`` reads V and
+X off U1, the translate of U that holds 0 taken mod its least period g1
+(so H = g1*G), as two subgroup intersections: V = U1 meet a1*G and
+X = U1 meet b1*G, with a1 = gcd(g1, a) and b1 = gcd(g1, b).  Proof, for
+U1 = V + X with 0 in V and in X: 0 in X puts V in U1 meet a1*G; a member
+v + x of U1 meet a1*G has x in a1*G meet b1*G = {0} mod g1 = a1*b1, so it
+is v, in V; the same argument gives X.  The certificate's ``verify`` is
+the one check: a certificate it refuses is reported, never returned.
 
-Convention note: the decomposition places V in a1*G and X in b1*G with
-a1 | gcd(g, a) and b1 | gcd(g, b); all certificates are checked against
-that convention before being returned.  A residue set is an int mask with
-bit r set iff r is a member, as for EPSet tails and the vectorized sweeps.
-Two kernels compute the image aU + bU.  ``_bits._image`` images one
-Python-int mask, a small one in one walk of its members and a wide one
-with many members on numpy index arrays; every per-set function here
-(``gamma_mod``, ``cardinality_check``, ``decompose_equality_case``,
-``residue_orbit``, ``nonperiodic_absorption_check``) computes with it on
-bare masks and builds a ``ResidueSet`` only for what it returns.  Those results take the
-modulus of an existing set, so ``_residue_set`` builds them without the
-modulus checks of ``ResidueSet(...)`` and ``from_mask``.
+A residue set is an int mask with bit r set iff r is a member, as for
+EPSet tails and the vectorized sweeps.  Two kernels compute the image
+aU + bU.  ``_bits._image`` images one Python-int mask, a small one in one
+walk of its members and a wide one with many members on numpy index
+arrays; every per-set function here computes with it on bare masks and
+builds a ``ResidueSet`` only for what it returns, through
+``_residue_set``, without the modulus checks of ``ResidueSet(...)``.
 ``cardinality_sweep`` images all 2^g subsets at once for g <= 64, on numpy
 lanes of the narrowest unsigned dtype that holds g bits: ``_image_table``
-builds the images by doubling.  This module has no EPSet
-conversion; ``linops.apply_linear_op`` reads an EPSet's residues and calls
-``_image`` itself.
+builds the images by doubling.  This module has no EPSet conversion;
+``linops.apply_linear_op`` reads an EPSet's residues and calls ``_image``
+itself.
 """
 
 from __future__ import annotations
@@ -135,9 +136,8 @@ def _check_modulus(modulus: int) -> None:
 
 
 def _residue_set(modulus: int, mask: int) -> ResidueSet:
-    """The set of a modulus already checked and a mask below 2^modulus, with
-    no check: the results built from an existing set's modulus.  A frozen
-    dataclass keeps its fields in the instance dict."""
+    """The set of a checked modulus and a mask below 2^modulus, unchecked.
+    A frozen dataclass keeps its fields in the instance dict."""
     u = object.__new__(ResidueSet)
     attrs = u.__dict__
     attrs["modulus"] = modulus
@@ -197,10 +197,9 @@ class DecompositionCertificate:
 
     def verify(self, u: ResidueSet) -> bool:
         g = self.modulus
-        h_size = g // self.subgroup_step
         if self.reconstruct() != u:
             return False
-        if len(u) != len(self.v) * len(self.x) * h_size:
+        if len(u) != len(self.v) * len(self.x) * (g // self.subgroup_step):
             return False
         if math.gcd(g, self.a) % self.a1 or math.gcd(g, self.b) % self.b1:
             return False
@@ -218,9 +217,11 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     """Decompose an equality instance |aU + bU| = |U|, or report why not.
 
     Returns a DecompositionCertificate (already verified) or a
-    DecompositionFailure naming the violated hypothesis.  U is translated
-    so that 0 is a member; the certificate records the translation.
-    Requires gcd(a, b) = 1.
+    DecompositionFailure naming the violated hypothesis; gcd(a, b) = 1.
+    With U1 the translate of U holding 0 taken mod its least period g1,
+    V = U1 meet a1*G and X = U1 meet b1*G.  If U1 = V + X with 0 in V and
+    in X: 0 in X puts V in U1 meet a1*G; a member v + x there has x in
+    a1*G meet b1*G = {0} mod g1 = a1*b1; so U1 meet a1*G = V, likewise X.
     """
     _check_coprime(a, b)
     if not u.mask:
@@ -233,38 +234,15 @@ def decompose_equality_case(u: ResidueSet, a: int, b: int):
     if _image(u.mask, a, b, g).bit_count() != len(u):
         return DecompositionFailure("cardinality not preserved")
 
-    step = _min_period(g, u0)     # H = step*G, |H| = g // step
-    g1 = step                     # order of G / H
+    g1 = _min_period(g, u0)       # H = g1*G, and g1 is the order of G / H
     u1 = _fold_mod(u0, g1)
     a1 = math.gcd(g1, a)
     b1 = math.gcd(g1, b)
-    if a1 * b1 != g1:
-        return DecompositionFailure("quotient modulus does not split over a and b")
-
-    # components of U1 by residue mod b1, as masks mod g1
-    b1_group = _periodic_fill(1, b1, 0, g1)
-    comps = [c for c in (u1 & _rotate(b1_group, k, g1) for k in range(b1)) if c]
-    if len({c.bit_count() for c in comps}) != 1:
-        return DecompositionFailure("components have unequal sizes")
-    # the component of 0 is the base; every other component must be a
-    # translate of it by one of its own elements (unique since the base
-    # is aperiodic within its subgroup)
-    base = comps[0]
-    reps = []
-    for xs in comps:
-        delta = next((c for c in _members(xs) if _rotate(xs, -c, g1) == base), None)
-        if delta is None:
-            return DecompositionFailure("components are not translates of each other")
-        reps.append(delta)
-
-    v = tuple(sorted(reps))
-    x_part = tuple(_members(base))
-    if any(val % a1 for val in v):
-        return DecompositionFailure("representatives escape the a-side subgroup")
-
     cert = DecompositionCertificate(
-        modulus=g, a=a, b=b, translation=translation,
-        a1=a1, b1=b1, v=v, x=x_part, subgroup_step=g1,
+        modulus=g, a=a, b=b, translation=translation, a1=a1, b1=b1,
+        v=tuple(_members(u1 & _periodic_fill(1, a1, 0, g1))),
+        x=tuple(_members(u1 & _periodic_fill(1, b1, 0, g1))),
+        subgroup_step=g1,
     )
     if not cert.verify(u):
         return DecompositionFailure("reconstruction mismatch")
@@ -296,19 +274,15 @@ def residue_orbit(u: ResidueSet, a: int, b: int, max_steps: int | None = None) -
     if closure is None:
         raise ResourceLimitExceeded("orbit did not close within %d steps" % max_steps)
     onset, length = closure
-    # the image of cycle[i] is cycle[i + 1], and that of the last is cycle[0]
+    # the image of each cycle member is the next one, so every member keeps
+    # its size under the map exactly when all members have one size
     cycle = masks[onset:]
-    images = cycle[1:] + cycle[:1]
     size = cycle[0].bit_count()
     preserved = all(m.bit_count() == size for m in cycle)
     divisibility = None
-    if a and b:     # phi is defined on positive integers
-        for m, image in zip(cycle, images):
-            if not (m & 1) or math.gcd(g, *_members(m)) != 1:
-                continue
-            if image.bit_count() == m.bit_count():
-                divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
-                break
+    if a and b and preserved:     # phi is defined on positive integers
+        if any(m & 1 and math.gcd(g, *_members(m)) == 1 for m in cycle):
+            divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
     states = [_residue_set(g, m) for m in masks]
     return ResidueOrbit(states, onset, length, preserved, divisibility)
 

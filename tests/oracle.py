@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from linset import constructions
-from linset._bits import _class_sum, _fold_mod, _periodic_fill, _rotate, convolve_or
+from linset._bits import (_class_sum, _fold_mod, _image, _members, _min_period, _periodic_fill,
+                          _rotate, convolve_or)
 from linset.analysis import dplus
 from linset.cli import SetSemanticError, SetSyntaxError, _int_literal, _Scanner
 from linset.constructions import TruncatedSet
@@ -25,7 +26,8 @@ from linset.epset import (EPSet, InputError, ResourceLimitExceeded, WindowCapExc
                           _negated, _sum_cross, _sum_windows, _union, _up_pieces, check_window,
                           window_cap)
 from linset.linops import OpSequence, apply_linear_op
-from linset.residue import ResidueOrbit, gamma_mod, totient
+from linset.residue import (DecompositionCertificate, DecompositionFailure, ResidueOrbit,
+                            _check_coprime, gamma_mod, totient)
 from linset.stability import IterationTrace, StabilizationReport, full_periodicity_onset
 
 
@@ -487,6 +489,61 @@ def residue_orbit(u, a, b, max_steps=None):
             divisibility = (totient(abs(a)) * totient(abs(b))) % length == 0
             break
     return ResidueOrbit(states, onset, length, preserved, divisibility)
+
+
+# -- the equality-case decomposition by a translate search ---------------------
+# ``residue.decompose_equality_case`` as it stood when it found V by
+# matching the components of U1 mod b1 against the component of 0, kept as
+# the reference for the two subgroup intersections that replaced it.
+
+def decompose_by_components(u, a, b):
+    _check_coprime(a, b)
+    if not u.mask:
+        return DecompositionFailure("empty set")
+    g = u.modulus
+    translation = (u.mask & -u.mask).bit_length() - 1
+    u0 = _rotate(u.mask, -translation, g)
+    if math.gcd(g, *_members(u0)) != 1:
+        return DecompositionFailure("contained in a proper subgroup")
+    if _image(u.mask, a, b, g).bit_count() != len(u):
+        return DecompositionFailure("cardinality not preserved")
+
+    step = _min_period(g, u0)     # H = step*G, |H| = g // step
+    g1 = step                     # order of G / H
+    u1 = _fold_mod(u0, g1)
+    a1 = math.gcd(g1, a)
+    b1 = math.gcd(g1, b)
+    if a1 * b1 != g1:
+        return DecompositionFailure("quotient modulus does not split over a and b")
+
+    # components of U1 by residue mod b1, as masks mod g1
+    b1_group = _periodic_fill(1, b1, 0, g1)
+    comps = [c for c in (u1 & _rotate(b1_group, k, g1) for k in range(b1)) if c]
+    if len({c.bit_count() for c in comps}) != 1:
+        return DecompositionFailure("components have unequal sizes")
+    # the component of 0 is the base; every other component must be a
+    # translate of it by one of its own elements (unique since the base
+    # is aperiodic within its subgroup)
+    base = comps[0]
+    reps = []
+    for xs in comps:
+        delta = next((c for c in _members(xs) if _rotate(xs, -c, g1) == base), None)
+        if delta is None:
+            return DecompositionFailure("components are not translates of each other")
+        reps.append(delta)
+
+    v = tuple(sorted(reps))
+    x_part = tuple(_members(base))
+    if any(val % a1 for val in v):
+        return DecompositionFailure("representatives escape the a-side subgroup")
+
+    cert = DecompositionCertificate(
+        modulus=g, a=a, b=b, translation=translation,
+        a1=a1, b1=b1, v=v, x=x_part, subgroup_step=g1,
+    )
+    if not cert.verify(u):
+        return DecompositionFailure("reconstruction mismatch")
+    return cert
 
 
 def stability_time(a, max_k=128):

@@ -799,6 +799,11 @@ INPUT_ERRORS = [
      "error: the constant c must be a positive integer"),
     ("above-L", ["verify-thm61", "--set", "N", "--ops", "cyc[(3,1)]", "--L", "2"],
      "error: sequence coefficients exceed the declared bound"),
+    # an empty grid is refused, not a vacuous PASS over no cells
+    ("sweep-no-sets", ["sweep", "--sets", " ; ", "--ops-list", "(2,1)", "--L", "3"],
+     "error: sweep needs at least one --sets entry and one --ops-list entry"),
+    ("sweep-no-ops", ["sweep", "--sets", "N", "--ops-list", "", "--L", "3"],
+     "error: sweep needs at least one --sets entry and one --ops-list entry"),
     ("unknown-kind", ["construct", "--kind", "nope"],
      "usage error: argument --kind: invalid choice: 'nope' "
      "(choose from 'ap', 'bohr', 'sparse', 'parity', 'scaled')"),
@@ -810,6 +815,30 @@ INPUT_ERRORS = [
 def test_cli_input_errors_exit_3(argv, line, capsys):
     assert run(argv) == 3
     assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_cli_run_refuses_a_malformed_env_cap_in_process(monkeypatch, capsys):
+    # the in-process view of test_cli_env_window_cap: run reads the message
+    # that epset left at import, before it parses any argument
+    line = "LINSET_WINDOW_CAP must be a positive integer, not 'abc'"
+    monkeypatch.setattr(cli, "_env_cap_error", line)
+    assert run(["dplus", "--set", "N"]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % line)
+    assert run(["nonsense"]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % line)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dplus", "--set", "N"], 0),
+    (["decompose", "--set", "mod 6 {0,1,2}", "--a", "5", "--b", "1"], 1),
+    (["residue", "--set", "mod 12 {0,3,4}", "--a", "4", "--b", "3", "--max-steps", "1"], 2),
+    (["nonsense"], 3),
+], ids=["pass", "fail", "resource", "usage"])
+def test_cli_main_exits_with_the_run_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["linset", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
 
 
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ import oracle
 from conftest import allocates_below, epsets, random_epset
 from linset._bits import _periodic_fill
 from linset.epset import (DEFAULT_WINDOW_CAP, EPSet, InputError, WindowCapExceeded, _dilated,
-                          _minkowski, _negated, set_window_cap, window_cap)
+                          _env_window_cap, _minkowski, _negated, set_window_cap, window_cap)
 
 R = 200  # comparison radius for oracle checks
 
@@ -482,6 +482,23 @@ def test_set_window_cap_refuses_a_cap_below_1():
         assert window_cap() == old
     finally:
         set_window_cap(old)
+
+
+@pytest.mark.parametrize("text", ["abc", "1e6", "0", "-5"])
+def test_env_window_cap_refuses_a_malformed_value(text, monkeypatch):
+    monkeypatch.setenv("LINSET_WINDOW_CAP", text)
+    assert _env_window_cap() == (
+        DEFAULT_WINDOW_CAP, "LINSET_WINDOW_CAP must be a positive integer, not %r" % text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EPSet.residue_class(0, 0),
+    lambda: EPSet.half_line(1, 0, 5),
+    lambda: EPSet.half_line_down(1, -2, 5),
+], ids=["residue_class", "half_line", "half_line_down"])
+def test_progressions_refuse_a_modulus_below_1(make):
+    with pytest.raises(InputError, match="^modulus must be positive$"):
+        make()
 
 
 def test_window_cap_enforced():

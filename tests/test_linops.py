@@ -203,6 +203,22 @@ def test_dominant_pair_below_threshold():
     assert dominant_coefficient_pair(OpSequence.repeat(2, 1, 6), 2) is None
 
 
+def test_dominant_pair_refuses_a_broken_guarantee(monkeypatch):
+    # the two guards hold by theorem; a lying count or expansion must trip them
+    seq = OpSequence.repeat(2, 1, 40)
+    monkeypatch.setattr(linops, "guaranteed_collision_count", lambda t, bound: 1 << 60)
+    with pytest.raises(AssertionError, match="^collision guarantee violated"):
+        dominant_coefficient_pair(seq, 2)
+    monkeypatch.undo()
+
+    class Expansion:
+        def most_repeated(self):
+            return (2 ** 41, 1 << 50), (1, 1 << 50)
+    monkeypatch.setattr(linops, "compose_coefficients", lambda seq: Expansion())
+    with pytest.raises(AssertionError, match="^coefficient bound violated$"):
+        dominant_coefficient_pair(seq, 2)
+
+
 def test_dominant_pair_all_ones():
     seq = OpSequence.repeat(1, 1, 20, bound=2)
     alpha, beta, mult = dominant_coefficient_pair(seq, 1)

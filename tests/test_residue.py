@@ -156,6 +156,50 @@ def test_decompose_matches_bruteforce_search():
     assert same_level == [key]
 
 
+def test_decompose_matches_component_search_exhaustive():
+    # every mask with g <= 9 and every coprime pair in [-5, 5], 0 and
+    # negative coefficients included, against the translate search that the
+    # two subgroup intersections replaced
+    pairs = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
+    certificates = 0
+    for g in range(1, 10):
+        for mask in range(1 << g):
+            u = ResidueSet.from_mask(g, mask)
+            for a, b in pairs:
+                got = decompose_equality_case(u, a, b)
+                assert got == oracle.decompose_by_components(u, a, b), (g, mask, a, b)
+                certificates += isinstance(got, DecompositionCertificate)
+    assert certificates > 1000
+
+
+def test_decompose_matches_component_search_structured():
+    # seeded equality instances U = t + V + X + H with g up to 400:
+    # a1 | a, b1 | b, V inside a1*G and X inside b1*G mod g1 = a1*b1, and
+    # H = g1*G.  V holds a1 and X holds b1, so U generates G and every
+    # instance decomposes; one member toggled gives a nearby set
+    rng = random.Random(20101)
+    levels = [(a1, b1) for a1 in range(1, 21) for b1 in range(1, 21)
+              if math.gcd(a1, b1) == 1 and a1 * b1 <= 400]
+    for _ in range(400):
+        a1, b1 = rng.choice(levels)
+        g1 = a1 * b1
+        g = g1 * rng.randint(1, 400 // g1)
+        while True:
+            a = a1 * rng.randint(1, 9) * rng.choice((1, -1))
+            b = b1 * rng.randint(1, 9) * rng.choice((1, -1))
+            if math.gcd(a, b) == 1:
+                break
+        v = {0, a1 % g1} | set(rng.sample(range(0, g1, a1), rng.randint(0, b1)))
+        x = {0, b1 % g1} | set(rng.sample(range(0, g1, b1), rng.randint(0, a1)))
+        t = rng.randrange(g)
+        u = ResidueSet(g, [t + vv + xx + h for vv in v for xx in x for h in range(0, g, g1)])
+        got = decompose_equality_case(u, a, b)
+        assert isinstance(got, DecompositionCertificate), (g, a, b, sorted(u))
+        assert got == oracle.decompose_by_components(u, a, b), (g, a, b, sorted(u))
+        near = ResidueSet.from_mask(g, u.mask ^ (1 << rng.randrange(g)))
+        assert decompose_equality_case(near, a, b) == oracle.decompose_by_components(near, a, b)
+
+
 def test_decompose_failure_reports(monkeypatch):
     r = decompose_equality_case(ResidueSet(6, [0, 1, 2]), 5, 1)
     assert isinstance(r, DecompositionFailure)
@@ -385,6 +429,7 @@ def test_to_expr_matches_join_form():
         for k in {min(g, 32), min(g, rng.randint(0, 32)), min(g, rng.randint(33, 600))}:
             u = ResidueSet(g, rng.sample(range(g), k))
             assert u.to_expr() == "mod %d {%s}" % (g, ",".join(map(str, sorted(u.elems))))
+            assert str(u) == u.to_expr()
 
 
 def _pairs_for(g):
